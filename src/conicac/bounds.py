@@ -197,6 +197,8 @@ BOUND_NAMES = ("A", "B", "C", "theta")
 def evaluate_bound(name: str, q: int):
     """Bound value for one q, or None when infeasible / not applicable."""
     if name == "A":
+        if (q - 5) ** 2 < 1:  # U0 = (q-5)^2 leaves nothing to cover
+            return None
         tr = bound_a_trace(q, 5, (q - 5) ** 2)
         return float(tr.bound) if tr.w_fin is not None else None
     if name == "B":

@@ -14,7 +14,7 @@ import time
 
 from . import bounds as bnd
 from . import tables
-from .gf import factor_prime_power
+from .gf import field_for_order
 from .geometry import build_conic_model
 from .nrc import completeness_brute, corollary11_range, nrc_points, p0_solve
 from .search import (DEFAULT_EXHAUSTIVE_CEILING, ENV_MAX_Q, exhaustive_min_ac,
@@ -31,12 +31,6 @@ class CliError(Exception):
     pass
 
 
-def _model_for(q):
-    if factor_prime_power(q) is None:
-        raise CliError(f"q={q} is not a prime power")
-    return build_conic_model(q)
-
-
 def cmd_exact(args) -> int:
     q = args.q
     if q < 5:
@@ -45,7 +39,7 @@ def cmd_exact(args) -> int:
     if q > ceiling and not args.force:
         raise CliError(f"q={q} above exhaustive ceiling {ceiling} "
                        f"(use --force; budget grows to hours for q near 32)")
-    model = _model_for(q)
+    model = build_conic_model(q)
     t, witness = exhaustive_min_ac(model, base_size=args.base_size,
                                    ceiling=ceiling, force=args.force)
     assert is_ac_subset(model, witness)
@@ -55,7 +49,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_search(args) -> int:
-    model = _model_for(args.q)
+    model = build_conic_model(args.q)
     start = time.time()
     res = randomized_greedy(model, seed=args.seed, restarts=args.restarts,
                             random_step_prob=args.prob, jobs=args.jobs)
@@ -139,11 +133,7 @@ def cmd_nrc(args) -> int:
         return EXIT_OK
     if args.complete:
         q, n_dim = args.complete
-        pm = factor_prime_power(q)
-        if pm is None:
-            raise CliError(f"q={q} is not a prime power")
-        from .gf import field_new
-        arc = nrc_points(field_new(*pm), n_dim)
+        arc = nrc_points(field_for_order(q), n_dim)
         try:
             ext = completeness_brute(arc)
         except ValueError as e:
@@ -218,7 +208,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (CliError, tables.TableFormatError, ValueError) as e:
+    except (CliError, tables.TableFormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

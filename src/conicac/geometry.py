@@ -2,17 +2,25 @@
 
 Conic points are indexed by a parameter t in F_q u {inf}; the point at
 infinity is encoded as the code q (one past the field range) so arrays of
-size q+1 stay dense.  The off-conic point set M_q (nucleus excluded for even
-q) is indexed lexicographically by canonical coordinate codes, which keeps
-bitset layouts reproducible across runs.
+size q+1 stay dense.  Plane points have the codes 0 for (0,0,1), 1+z for
+(0,1,z) and 1+q+q*y+z for (1,y,z), which order them lexicographically.  The
+off-conic point set M_q (nucleus excluded for even q) is indexed in that
+order, which keeps bitset layouts reproducible across runs.
+
+The bisecant of {t1, t2} is the line [t1*t2, -(t1+t2), 1]: it holds
+(0,1,t1+t2) and (1,y,(t1+t2)*y - t1*t2) for every y, of which y = t1, t2 are
+the two conic points.  The bisecant of {t, inf} is x1 = t*x0: the points
+(1,t,z), of which z = t^2 is on the conic, and (0,0,1) = inf.  The model
+builds one M_q bitmask per pair from these closed forms.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
-from .gf import FieldCtx, FieldError, field_for_order
+import numpy as np
+
+from .gf import FieldCtx, FieldError, field_for_order, field_tables
 
 
 def canon_point(ctx: FieldCtx, triple) -> tuple[int, int, int]:
@@ -69,32 +77,50 @@ class ConicModel:
 
         self.nucleus = None
         if q % 2 == 0:
-            P = self._intersect(self.tangent[0], self.tangent[q])
+            # tangent at t is [t^2, 0, 1] (and [1, 0, 0] at inf)
+            P = (0, 1, 0)
             assert all(on_line(ctx, P, l) for l in self.tangent.values())
             self.nucleus = P
 
         excluded = set(self._conic_set)
         if self.nucleus is not None:
             excluded.add(self.nucleus)
-        self.m_points = [P for P in self._all_points() if P not in excluded]
-        self.m_points.sort()
+        points = self._all_points()
+        keep = [code for code, P in enumerate(points) if P not in excluded]
+        self.m_points = [points[code] for code in keep]
         self.m_index = {P: i for i, P in enumerate(self.m_points)}
         self.m_size = len(self.m_points)
         self.full_mask = (1 << self.m_size) - 1
 
-        self._pair_indices = {}
+        # plane code -> M index; excluded points go to the spare index m_size
+        m_of_code = np.full(len(points), self.m_size, dtype=np.int64)
+        m_of_code[keep] = np.arange(self.m_size)
+        add, mul = field_tables(ctx)
+        neg = add.argmin(axis=0)  # add[neg[b], b] == 0
+        ys = np.arange(q)
         self._pair_mask = {}
-        for t1, t2 in combinations(self.params, 2):
-            idxs = self._bisecant_indices(t1, t2)
-            mask = 0
-            for i in idxs:
-                mask |= 1 << i
-            self._pair_indices[(t1, t2)] = idxs
-            self._pair_mask[(t1, t2)] = mask
+        for t1 in range(q):
+            # one row per t2 > t1 and a last row for t2 = inf, each holding
+            # the plane codes of the q+1 points on the bisecant
+            t2s = np.arange(t1 + 1, q)
+            sums, prods = add[t1, t2s], mul[t1, t2s]
+            codes = np.empty((len(t2s) + 1, q + 1), dtype=np.int64)
+            codes[:-1, 0] = 1 + sums
+            codes[:-1, 1:] = 1 + q + q * ys + add[mul[sums[:, None], ys], neg[prods][:, None]]
+            codes[-1, 0] = 0
+            codes[-1, 1:] = 1 + q + q * t1 + ys
+            idx = m_of_code[codes]
+            assert ((idx < self.m_size).sum(axis=1) == q - 1).all()
+            hit = np.zeros((len(codes), self.m_size + 1), dtype=bool)
+            np.put_along_axis(hit, idx, True, axis=1)
+            rows = np.packbits(hit[:, :-1], axis=1, bitorder="little")
+            for t2, row in zip([*t2s.tolist(), self.inf], rows):
+                self._pair_mask[(t1, t2)] = int.from_bytes(row.tobytes(), "little")
 
     # --- construction helpers --------------------------------------------
 
     def _all_points(self):
+        """Every point of PG(2,q), in plane-code order."""
         ctx = self.ctx
         pts = [(0, 0, 1)]
         pts += [(0, 1, z) for z in range(ctx.q)]
@@ -107,21 +133,6 @@ class ConicModel:
         x0, x1, x2 = self.conic_point[t]
         two = ctx.add(1, 1)
         return canon_point(ctx, (x2, ctx.neg(ctx.mul(two, x1)), x0))
-
-    def _intersect(self, l1, l2):
-        return line_through(self.ctx, l1, l2)  # duality: same cross product
-
-    def _bisecant_indices(self, t1, t2):
-        ctx = self.ctx
-        P1, P2 = self.conic_point[t1], self.conic_point[t2]
-        idxs = []
-        for a in range(ctx.q):  # a*P1 + P2, plus P1 itself
-            pt = canon_point(ctx, tuple(ctx.add(ctx.mul(a, x), y) for x, y in zip(P1, P2)))
-            if pt in self._conic_set:
-                continue
-            idxs.append(self.m_index[pt])
-        assert len(idxs) == ctx.q - 1
-        return sorted(idxs)
 
     # --- queries ----------------------------------------------------------
 
@@ -140,8 +151,13 @@ class ConicModel:
         """Sorted M_q indices on the line through conic points t1, t2."""
         if t1 == t2:
             raise ValueError("bisecant needs two distinct parameters")
-        key = (t1, t2) if t1 < t2 else (t2, t1)
-        return self._pair_indices[key]
+        mask = self.pair_mask(t1, t2)
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
 
     def pair_mask(self, t1, t2) -> int:
         key = (t1, t2) if t1 < t2 else (t2, t1)

@@ -4,30 +4,45 @@ Elements are dense integer codes in [0, q): the base-p digits of a code are
 the coefficients of the representing polynomial, least-significant digit =
 constant term.  Prime fields work directly mod p; extension fields go through
 exp/log tables built from a multiplicative generator, so every operation is a
-couple of array lookups.
+couple of array lookups.  `field_tables` gives whole add/mul tables for
+vectorized code; `is_prime` is the shared deterministic primality test.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 
 class FieldError(ValueError):
     pass
 
 
-def _is_small_prime(n: int) -> bool:
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, correct for all 64-bit inputs."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -112,7 +127,7 @@ class FieldCtx:
     """Immutable GF(p^m) arithmetic context; safe to share across workers."""
 
     def __init__(self, p: int, m: int):
-        if not _is_small_prime(p):
+        if not is_prime(p):
             raise FieldError(f"p={p} is not prime")
         if m < 1:
             raise FieldError(f"m={m} must be >= 1")
@@ -214,6 +229,18 @@ class FieldCtx:
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, m={self.m})"
+
+
+def field_tables(ctx: FieldCtx):
+    """Addition and multiplication tables of the field as q x q int64 arrays."""
+    q = ctx.q
+    add = np.empty((q, q), dtype=np.int64)
+    mul = np.empty((q, q), dtype=np.int64)
+    for a in range(q):
+        for b in range(q):
+            add[a, b] = ctx.add(a, b)
+            mul[a, b] = ctx.mul(a, b)
+    return add, mul
 
 
 @lru_cache(maxsize=None)

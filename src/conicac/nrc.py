@@ -11,39 +11,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf import FieldCtx
+from .gf import FieldCtx, field_tables, is_prime
 from .bounds import theta
 
 COMPLETENESS_GUARD = 10 ** 8  # refuse instances with q^N beyond this
-
-
-# --- primality ------------------------------------------------------------
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, correct for all 64-bit inputs."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _odd_primes():
@@ -200,17 +171,6 @@ def gdrs_generator(ctx: FieldCtx, n_dim: int, alphas, vs, v_last: int,
 
 # --- brute-force completeness --------------------------------------------
 
-def _field_tables(ctx: FieldCtx):
-    q = ctx.q
-    add = np.empty((q, q), dtype=np.int64)
-    mul = np.empty((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(q):
-            add[a, b] = ctx.add(a, b)
-            mul[a, b] = ctx.mul(a, b)
-    return add, mul
-
-
 def _canonical_points_array(ctx: FieldCtx, n_dim: int) -> np.ndarray:
     """All (q^(N+1)-1)/(q-1) canonical points of PG(N,q) as code rows."""
     q = ctx.q
@@ -268,7 +228,7 @@ def completeness_brute(arc: NrcArc):
     q = ctx.q
     if q ** n_dim > COMPLETENESS_GUARD:
         raise ValueError(f"instance too large: q^N = {q ** n_dim} > {COMPLETENESS_GUARD}")
-    add_t, mul_t = _field_tables(ctx)
+    add_t, mul_t = field_tables(ctx)
     pts = _canonical_points_array(ctx, n_dim)
     alive = np.ones(len(pts), dtype=bool)
     for sub in combinations(arc.points, n_dim):

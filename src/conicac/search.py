@@ -2,9 +2,11 @@
 greedy search, and exhaustive minimum search with minimality verification.
 
 Coverage is tracked as a Python-int bitset over the M_q index space, so a
-step is a handful of OR / popcount operations.  During greedy runs every
-not-yet-chosen candidate keeps its own accumulated mask, making the gain of
-a candidate a single AND + popcount.
+step is a handful of OR / popcount operations.  `CoverageState` is the one
+incremental-coverage implementation: besides the covered set it keeps, for
+every not-yet-chosen parameter, the union of its bisecants with the chosen
+ones, so the gain of a candidate is a single AND + popcount.  The greedy
+passes drive a `CoverageState`.
 """
 
 from __future__ import annotations
@@ -45,21 +47,29 @@ class CoverageState:
         self.model = model
         self.chosen: list[int] = []
         self.covered = 0
+        # unchosen parameter -> union of its bisecants with the chosen ones;
+        # keys stay in ascending parameter order
+        self.gain_mask = dict.fromkeys(model.params, 0)
 
     @property
     def uncovered_count(self) -> int:
         return self.model.m_size - self.covered.bit_count()
 
+    def gains(self) -> dict[int, int]:
+        """Number of newly covered points for each unchosen parameter."""
+        uncovered = ~self.covered
+        return {t: (m & uncovered).bit_count() for t, m in self.gain_mask.items()}
+
     def add(self, t: int) -> int:
         """Append parameter t; return the number of newly covered points."""
-        if t in self.chosen:
-            raise ValueError(f"parameter {t} already chosen")
-        new = 0
-        for s in self.chosen:
-            new |= self.model.pair_mask(t, s)
-        delta = (new & ~self.covered).bit_count()
-        self.covered |= new
+        if t not in self.gain_mask:
+            raise ValueError(f"parameter {t} already chosen or not on the conic")
+        mask = self.gain_mask.pop(t)
+        delta = (mask & ~self.covered).bit_count()
+        self.covered |= mask
         self.chosen.append(t)
+        for s in self.gain_mask:
+            self.gain_mask[s] |= self.model.pair_mask(s, t)
         return delta
 
 
@@ -95,43 +105,26 @@ def _greedy_run(model: ConicModel, start=(), rng: random.Random | None = None,
     """One greedy pass.  With rng=None ties break on the smallest parameter
     code; otherwise ties break uniformly at random and each step is fully
     random with probability random_step_prob."""
-    full = model.full_mask
-    covered = 0
-    chosen: list[int] = []
-    cand = {t: 0 for t in model.params}
+    state = CoverageState(model)
     step_log: list[tuple[int, int, int]] = []
 
     def commit(t):
-        nonlocal covered
-        mask = cand.pop(t)
-        delta = (mask & ~covered).bit_count()
-        covered |= mask
-        chosen.append(t)
-        for s in cand:
-            cand[s] |= model.pair_mask(s, t)
-        step_log.append((len(chosen), delta, model.m_size - covered.bit_count()))
-        return delta
+        delta = state.add(t)
+        step_log.append((len(state.chosen), delta, state.uncovered_count))
 
     for t in start:
-        if t in chosen:
-            raise ValueError(f"duplicate start parameter {t}")
         commit(t)
 
-    while covered != full:
+    while state.covered != model.full_mask:
         if rng is not None and random_step_prob > 0 and rng.random() < random_step_prob:
-            commit(rng.choice(sorted(cand)))
+            commit(rng.choice(list(state.gain_mask)))
             continue
-        best_delta = -1
-        best: list[int] = []
-        for t in sorted(cand):
-            delta = (cand[t] & ~covered).bit_count()
-            if delta > best_delta:
-                best_delta, best = delta, [t]
-            elif delta == best_delta:
-                best.append(t)
+        gains = state.gains()
+        best_delta = max(gains.values())
+        best = [t for t, g in gains.items() if g == best_delta]
         commit(best[0] if rng is None else rng.choice(best))
 
-    return chosen, step_log
+    return state.chosen, step_log
 
 
 def greedy_search(model: ConicModel, start=()) -> SearchResult:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conicac import cli
 
 
@@ -66,6 +68,27 @@ def test_bounds_command_csv(tmp_path, capsys):
     # B is infeasible at q=9: only the header and the q=101 row appear
     assert lines[0] == "q,bound,value,value_star"
     assert len(lines) == 2 and lines[1].startswith("101,B,")
+
+
+def test_bounds_skips_infeasible_a_at_q5(capsys):
+    code, out, _ = run(capsys, "bounds", "--qlist", "5,7", "--names", "A")
+    assert code == cli.EXIT_OK
+    assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["7"]
+    code, out, _ = run(capsys, "bounds", "--q", "5")
+    assert code == cli.EXIT_OK
+    assert "5,A," not in out and out.startswith("q,bound,value,value_star")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "{missing}/t.csv"),
+    ("bounds", "--q", "11", "--out", "{missing}/x.csv"),
+    ("search", "7", "--restarts", "2", "--record", "{missing}/r.json"),
+])
+def test_bad_paths_are_usage_errors(tmp_path, capsys, argv):
+    missing = tmp_path / "no-such-dir"
+    code, _, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_bounds_rejects_unknown_name(capsys):

@@ -77,19 +77,21 @@ def test_bisecants_carry_q_minus_1_m_points(q):
     assert union == model.full_mask
 
 
-def test_bisecant_indices_match_line_scan():
+@pytest.mark.parametrize("q", MODEL_QS)
+def test_bisecant_indices_match_line_scan(q):
     """Independent oracle: the M-points on the bisecant through params
     (t1, t2) are exactly the M-points incident to the line joining them."""
-    for q in (5, 7, 8, 9):
-        model = build_conic_model(q)
-        ctx = model.ctx
-        rng = random.Random(q)
-        pairs = rng.sample(list(combinations(model.params, 2)), 10)
-        for t1, t2 in pairs:
-            line = line_through(ctx, model.conic_point[t1], model.conic_point[t2])
-            want = sorted(model.m_index[P] for P in model.m_points
-                          if on_line(ctx, P, line))
-            assert model.bisecant_mpoints(t1, t2) == want
+    model = build_conic_model(q)
+    ctx = model.ctx
+    rng = random.Random(q)
+    pairs = rng.sample(list(combinations(model.params, 2)), 10)
+    pairs += [(0, model.inf), (rng.randrange(1, q), model.inf)]
+    for t1, t2 in pairs:
+        line = line_through(ctx, model.conic_point[t1], model.conic_point[t2])
+        want = sorted(model.m_index[P] for P in model.m_points
+                      if on_line(ctx, P, line))
+        assert model.bisecant_mpoints(t1, t2) == want
+        assert model.bisecant_mpoints(t2, t1) == want
 
 
 def test_classification_counts_odd_q():

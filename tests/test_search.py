@@ -163,6 +163,55 @@ def test_randomized_greedy_deterministic():
     assert c.is_ac
 
 
+# Witness and step log of randomized_greedy(model, seed=1, restarts=20); any
+# change to the model or the greedy must reproduce them exactly.  The q cover
+# prime fields and odd and even extension fields.
+PINNED_GREEDY = {
+    16: ([10, 5, 2, 0, 15, 14, 16, 1, 8],
+         [(1, 0, 255), (2, 15, 240), (3, 30, 210), (4, 42, 168), (5, 48, 120),
+          (6, 46, 74), (7, 40, 34), (8, 22, 12), (9, 12, 0)]),
+    17: ([10, 17, 5, 2, 0, 8, 12, 1, 16, 9],
+         [(1, 0, 289), (2, 16, 273), (3, 32, 241), (4, 45, 196), (5, 52, 144),
+          (6, 56, 88), (7, 40, 48), (8, 26, 22), (9, 17, 5), (10, 5, 0)]),
+    25: ([10, 17, 5, 4, 1, 9, 11, 0, 3, 20, 15, 25],
+         [(1, 0, 625), (2, 24, 601), (3, 48, 553), (4, 69, 484), (5, 84, 400),
+          (6, 92, 308), (7, 92, 216), (8, 72, 144), (9, 70, 74), (10, 42, 32),
+          (11, 21, 11), (12, 11, 0)]),
+    27: ([10, 17, 5, 4, 1, 23, 15, 9, 0, 13, 14, 16, 3],
+         [(1, 0, 729), (2, 26, 703), (3, 52, 651), (4, 75, 576), (5, 92, 484),
+          (6, 102, 382), (7, 101, 281), (8, 94, 187), (9, 71, 116),
+          (10, 58, 58), (11, 37, 21), (12, 11, 10), (13, 10, 0)]),
+    32: ([20, 11, 4, 1, 27, 3, 21, 31, 5, 10, 6, 18, 13, 28, 30],
+         [(1, 0, 1023), (2, 31, 992), (3, 62, 930), (4, 90, 840),
+          (5, 112, 728), (6, 128, 600), (7, 132, 468), (8, 121, 347),
+          (9, 102, 245), (10, 99, 146), (11, 69, 77), (12, 44, 33),
+          (13, 22, 11), (14, 9, 2), (15, 2, 0)]),
+    49: ([20, 33, 11, 9, 3, 42, 31, 35, 1,
+          16, 22, 19, 38, 15, 28, 12, 49, 17, 39],
+         [(1, 0, 2401), (2, 48, 2353), (3, 96, 2257), (4, 141, 2116),
+          (5, 180, 1936), (6, 211, 1725), (7, 232, 1493), (8, 245, 1248),
+          (9, 236, 1012), (10, 227, 785), (11, 206, 579), (12, 155, 424),
+          (13, 142, 282), (14, 111, 171), (15, 73, 98), (16, 48, 50),
+          (17, 28, 22), (18, 18, 4), (19, 4, 0)]),
+    64: ([40, 22, 9, 3, 51, 49, 46, 55, 5, 52, 56,
+          60, 15, 28, 63, 8, 12, 59, 27, 38, 2, 7],
+         [(1, 0, 4095), (2, 63, 4032), (3, 126, 3906), (4, 186, 3720),
+          (5, 240, 3480), (6, 286, 3194), (7, 324, 2870), (8, 339, 2531),
+          (9, 346, 2185), (10, 357, 1828), (11, 342, 1486), (12, 310, 1176),
+          (13, 284, 892), (14, 235, 657), (15, 197, 460), (16, 156, 304),
+          (17, 126, 178), (18, 80, 98), (19, 56, 42), (20, 18, 24),
+          (21, 16, 8), (22, 8, 0)]),
+}
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_GREEDY))
+def test_randomized_greedy_pinned_for_fixed_seed(q):
+    res = randomized_greedy(build_conic_model(q), seed=1, restarts=20)
+    witness, step_log = PINNED_GREEDY[q]
+    assert res.witness == witness
+    assert res.step_log == step_log
+
+
 def test_randomized_greedy_job_count_invariant():
     model = build_conic_model(11)
     a = randomized_greedy(model, seed=3, restarts=12, jobs=1)
