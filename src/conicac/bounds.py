@@ -8,7 +8,9 @@ Starred values divide a bound by sqrt(q ln q).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 from .gf import factor_prime_power
 
@@ -71,17 +73,22 @@ def bound_a_trace(q: int, w0: int = 5, u0: int | None = None) -> BoundTrace:
 
 # --- truncated process and bound B ---------------------------------------
 
-def f_q_log(q: int, w: int) -> float:
-    """Natural log of the product prod_{i=1..w} (1 - (i-2)/(q+1-i))."""
-    if not 1 <= w < q + 1:
-        raise ValueError("need 1 <= w < q+1")
+def _f_q_logs(q: int):
+    """log f_q(w) for w = 1, 2, ...: running sums of log(1 - (i-2)/(q+1-i))."""
     total = 0.0
-    for i in range(1, w + 1):
+    for i in range(1, q + 1):
         factor = 1.0 - (i - 2) / (q + 1 - i)
         if factor <= 0:
             raise ValueError(f"nonpositive factor at i={i} (w too large)")
         total += math.log(factor)
-    return total
+        yield total
+
+
+def f_q_log(q: int, w: int) -> float:
+    """Natural log of the product prod_{i=1..w} (1 - (i-2)/(q+1-i))."""
+    if not 1 <= w < q + 1:
+        raise ValueError("need 1 <= w < q+1")
+    return next(islice(_f_q_logs(q), w - 1, None))
 
 
 def bound_theorem32(q: int, xi: float):
@@ -90,11 +97,9 @@ def bound_theorem32(q: int, xi: float):
     if xi < 1:
         raise ValueError("xi must be >= 1")
     target = math.log(xi) - 2 * math.log(q)
-    total = 0.0
     w_max = (q + 2) // 2  # largest integer < (q+3)/2
-    for w in range(1, w_max + 1):
-        total += math.log(1.0 - (w - 2) / (q + 1 - w))
-        if total <= target:
+    for w, log_f in zip(range(1, w_max + 1), _f_q_logs(q)):
+        if log_f <= target:
             return w, w + 1 + xi
     return None
 
@@ -113,12 +118,16 @@ def bound_b(q: int, xi: float | None = None):
     if xi < 1:
         raise ValueError("xi must be >= 1")
     target = math.log(xi) - 2 * math.log(q)
-    w_max = (q + 2) // 2
-    for w in range(1, w_max + 1):
-        lhs = w - (q - 1) * math.log((q + 1) / (q + 1 - w))
-        if lhs <= target:
-            return w, w + 1 + xi
-    return None
+
+    def lhs(w):
+        return w - (q - 1) * math.log((q + 1) / (q + 1 - w))
+
+    if lhs(1) <= target:
+        return 1, 2 + xi
+    # lhs decreases for w >= 2, so there the admissible w form a tail
+    ws = range(2, (q + 2) // 2 + 1)
+    i = bisect_left(ws, True, key=lambda w: lhs(w) <= target)
+    return (ws[i], ws[i] + 1 + xi) if i < len(ws) else None
 
 
 # --- explicit bounds ------------------------------------------------------

@@ -7,6 +7,7 @@ Commands: exact, search, bounds, verify, nrc.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -48,28 +49,33 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
+def _open_out(path, default=None):
+    """Open PATH for writing up front, so a bad path fails before any work."""
+    return open(path, "w") if path else contextlib.nullcontext(default)
+
+
 def cmd_search(args) -> int:
-    model = build_conic_model(args.q)
-    start = time.time()
-    res = randomized_greedy(model, seed=args.seed, restarts=args.restarts,
-                            random_step_prob=args.prob, jobs=args.jobs)
-    wall = time.time() - start
-    if not is_ac_subset(model, res.witness):
-        raise AssertionError("search produced a non-AC witness")
-    print(res.witness_line(model))
-    if args.record:
-        record = {
-            "command": "search",
-            "parameters": {"q": args.q, "restarts": args.restarts,
-                           "prob": args.prob, "jobs": args.jobs},
-            "seed": args.seed,
-            "wall_time_s": round(wall, 3),
-            "outputs": {"witness_line": res.witness_line(model)},
-            "tool_version": _version(),
-        }
-        with open(args.record, "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+    with _open_out(args.record) as record_fh:
+        model = build_conic_model(args.q)
+        start = time.time()
+        res = randomized_greedy(model, seed=args.seed, restarts=args.restarts,
+                                random_step_prob=args.prob, jobs=args.jobs)
+        wall = time.time() - start
+        if not is_ac_subset(model, res.witness):
+            raise AssertionError("search produced a non-AC witness")
+        print(res.witness_line(model))
+        if record_fh:
+            record = {
+                "command": "search",
+                "parameters": {"q": args.q, "restarts": args.restarts,
+                               "prob": args.prob, "jobs": args.jobs},
+                "seed": args.seed,
+                "wall_time_s": round(wall, 3),
+                "outputs": {"witness_line": res.witness_line(model)},
+                "tool_version": _version(),
+            }
+            json.dump(record, record_fh, indent=2)
+            record_fh.write("\n")
     return EXIT_OK
 
 
@@ -90,15 +96,11 @@ def cmd_bounds(args) -> int:
         if n not in bnd.BOUND_NAMES:
             raise CliError(f"unknown bound name {n!r}; choose from {bnd.BOUND_NAMES}")
     grid = _parse_grid(args)
-    rows = bnd.curve_emit(grid, names)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _open_out(args.out, sys.stdout) as out:
+        rows = bnd.curve_emit(grid, names)
         print("q,bound,value,value_star", file=out)
         for q, name, value, star in rows:
             print(f"{q},{name},{value:.12g},{star:.12g}", file=out)
-    finally:
-        if args.out:
-            out.close()
     return EXIT_OK
 
 

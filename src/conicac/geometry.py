@@ -11,7 +11,8 @@ The bisecant of {t1, t2} is the line [t1*t2, -(t1+t2), 1]: it holds
 (0,1,t1+t2) and (1,y,(t1+t2)*y - t1*t2) for every y, of which y = t1, t2 are
 the two conic points.  The bisecant of {t, inf} is x1 = t*x0: the points
 (1,t,z), of which z = t^2 is on the conic, and (0,0,1) = inf.  The model
-builds one M_q bitmask per pair from these closed forms.
+builds one M_q bitmask per pair from these closed forms.  The tangent at t
+is likewise read off (x - t)^2: the line [t^2, -2t, 1], and [1, 0, 0] at inf.
 """
 
 from __future__ import annotations
@@ -70,10 +71,10 @@ class ConicModel:
         self.conic_point[q] = (0, 0, 1)
         self._conic_set = set(self.conic_point.values())
 
-        self.tangent = {t: self._tangent_line(t) for t in self.params}
-        for t, line in self.tangent.items():
-            hits = [s for s in self.params if on_line(ctx, self.conic_point[s], line)]
-            assert hits == [t], f"tangent at t={t} meets the conic in {hits}"
+        two = ctx.add(1, 1)
+        self.tangent = {t: canon_point(ctx, (ctx.mul(t, t), ctx.neg(ctx.mul(two, t)), 1))
+                        for t in range(q)}
+        self.tangent[q] = (1, 0, 0)
 
         self.nucleus = None
         if q % 2 == 0:
@@ -126,13 +127,6 @@ class ConicModel:
         pts += [(0, 1, z) for z in range(ctx.q)]
         pts += [(1, y, z) for y in range(ctx.q) for z in range(ctx.q)]
         return pts
-
-    def _tangent_line(self, t):
-        # polar line of the conic x0*x2 = x1^2: gradient (x2, -2*x1, x0)
-        ctx = self.ctx
-        x0, x1, x2 = self.conic_point[t]
-        two = ctx.add(1, 1)
-        return canon_point(ctx, (x2, ctx.neg(ctx.mul(two, x1)), x0))
 
     # --- queries ----------------------------------------------------------
 

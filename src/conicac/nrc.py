@@ -1,6 +1,13 @@
 """Normal rational curves in PG(N,q), generalized doubly-extended
 Reed-Solomon generator matrices, brute-force completeness checks, and the
 odd-prime thresholds p0(h) for completeness in PG(N, p^(2h+1)).
+
+The curve point with parameter t is (1, t, ..., t^N); the parameter q
+stands for inf, the point (0, ..., 0, 1).  The hyperplane through the
+points with parameters T is sum a_k x_k = 0, where
+prod_{t in T, t != inf} (x - t) = sum a_k x^k: the polynomial vanishes at
+every finite t in T, and a_N = 0 exactly when inf is in T.  The
+completeness check builds every hyperplane from this product.
 """
 
 from __future__ import annotations
@@ -187,58 +194,38 @@ def _canonical_points_array(ctx: FieldCtx, n_dim: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def _hyperplane_normal(ctx: FieldCtx, rows):
-    """Nonzero normal vector of the span of N independent rows in F_q^(N+1)."""
-    a = [list(r) for r in rows]
-    n_rows, n_cols = len(a), len(a[0])
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(row, n_rows) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = ctx.inv(a[row][col])
-        a[row] = [ctx.mul(inv, x) for x in a[row]]
-        for r in range(n_rows):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    if row < n_rows:
-        raise ValueError("rows are dependent (not an arc)")
-    free = next(c for c in range(n_cols) if c not in pivots)
-    normal = [0] * n_cols
-    normal[free] = 1
-    for r, col in enumerate(pivots):
-        normal[col] = ctx.neg(a[r][free])
-    return normal
-
-
 def completeness_brute(arc: NrcArc):
     """All points P outside the arc with arc u {P} still an arc.
 
     P extends the arc iff it avoids every hyperplane spanned by N arc
-    points; candidates are screened vectorized against the C(q+1, N)
-    hyperplane normals."""
+    points.  Each hyperplane comes from the product over its parameters
+    (see the module docstring) and is screened only against the points
+    that no earlier hyperplane has hit; the survivors keep the order of
+    `_canonical_points_array`."""
     ctx, n_dim = arc.field, arc.n_dim
     q = ctx.q
     if q ** n_dim > COMPLETENESS_GUARD:
         raise ValueError(f"instance too large: q^N = {q ** n_dim} > {COMPLETENESS_GUARD}")
-    add_t, mul_t = field_tables(ctx)
+    if arc.points != nrc_points(ctx, n_dim).points:
+        raise ValueError("completeness_brute needs the points of nrc_points(field, N), in order")
+    add, mul = field_tables(ctx)
+    neg = add.argmin(axis=0)  # add[neg[b], b] == 0
     pts = _canonical_points_array(ctx, n_dim)
-    alive = np.ones(len(pts), dtype=bool)
-    for sub in combinations(arc.points, n_dim):
-        normal = _hyperplane_normal(ctx, sub)
-        dot = np.zeros(len(pts), dtype=np.int64)
-        for i, ni in enumerate(normal):
-            if ni:
-                dot = add_t[dot, mul_t[pts[:, i], ni]]
-        alive &= dot != 0
-    return [tuple(int(x) for x in pts[i]) for i in np.nonzero(alive)[0]]
+    cand = np.arange(len(pts))
+    for params in combinations(range(q + 1), n_dim):
+        coef = np.zeros(n_dim + 1, dtype=np.int64)
+        coef[0] = 1
+        for t in params:
+            if t < q:  # multiply by (x - t); inf (code q) adds no factor
+                coef[1:] = add[coef[:-1], mul[neg[t], coef[1:]]]
+                coef[0] = mul[neg[t], coef[0]]
+        dot = np.zeros(len(cand), dtype=np.int64)
+        for i in np.nonzero(coef)[0]:
+            dot = add[dot, mul[pts[cand, i], coef[i]]]
+        cand = cand[dot != 0]
+        if cand.size == 0:
+            break
+    return [tuple(int(x) for x in pts[i]) for i in cand]
 
 
 # --- completeness ranges --------------------------------------------------

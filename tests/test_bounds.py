@@ -127,6 +127,24 @@ def test_scan_bound_agrees_with_exp_form():
         assert relaxed[1] >= exact[1]
 
 
+def _bound_b_scan(q, xi):
+    """Linear scan over every w < (q+3)/2: the oracle for the bisection."""
+    target = math.log(xi) - 2 * math.log(q)
+    for w in range(1, (q + 2) // 2 + 1):
+        if w - (q - 1) * math.log((q + 1) / (q + 1 - w)) <= target:
+            return w, w + 1 + xi
+    return None
+
+
+def test_bound_b_bisection_matches_scan():
+    for q in prime_powers_up_to(50000):
+        assert bound_b(q) == _bound_b_scan(q, default_xi(q)), q
+    # xi = 2e4 > q^2 at q=101 makes w=1 admissible
+    assert bound_b(101, 2e4)[0] == 1
+    for q, xi in ((7, 1.0), (101, 1.0), (101, 2e4), (1009, 50.0)):
+        assert bound_b(q, xi) == _bound_b_scan(q, xi), (q, xi)
+
+
 def test_bound_b_infeasible_small_q():
     assert bound_b(9) is None
     with pytest.raises(ValueError):

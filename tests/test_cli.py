@@ -86,8 +86,9 @@ def test_bounds_skips_infeasible_a_at_q5(capsys):
 ])
 def test_bad_paths_are_usage_errors(tmp_path, capsys, argv):
     missing = tmp_path / "no-such-dir"
-    code, _, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
     assert code == cli.EXIT_USAGE
+    assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
 

@@ -65,6 +65,14 @@ def test_tangents_concurrent_even_q(q):
 
 
 @pytest.mark.parametrize("q", MODEL_QS)
+def test_tangent_meets_conic_only_at_t(q):
+    model = build_conic_model(q)
+    for t, line in model.tangent.items():
+        hits = [s for s in model.params if on_line(model.ctx, model.conic_point[s], line)]
+        assert hits == [t], (t, hits)
+
+
+@pytest.mark.parametrize("q", MODEL_QS)
 def test_bisecants_carry_q_minus_1_m_points(q):
     model = build_conic_model(q)
     union = 0

@@ -1,11 +1,11 @@
 import math
-from itertools import combinations
+from itertools import product
 
 import pytest
 
 from conicac.geometry import build_conic_model, canon_point
 from conicac.gf import field_for_order
-from conicac.nrc import (P0_REL_TOL, _c_schedule, _p0_margin, completeness_brute,
+from conicac.nrc import (P0_REL_TOL, NrcArc, _c_schedule, _p0_margin, completeness_brute,
                          corollary11_range, gdrs_generator, is_arc, is_prime,
                          nrc_points, p0_solve)
 from conicac.tables import EXACT_T
@@ -180,17 +180,39 @@ def test_conic_extendable_by_nucleus_even_q():
     assert ext == [build_conic_model(4).nucleus]
 
 
+def _all_points(q, n_dim):
+    """Every point of PG(N,q) with its leftmost nonzero coordinate 1."""
+    return [P for P in product(range(q), repeat=n_dim + 1)
+            if any(P) and next(x for x in P if x) == 1]
+
+
 def test_completeness_matches_arc_oracle():
     """Every reported extension point really extends the arc, checked with
     the minor-based arc test; every non-reported point fails it."""
+    for q, n in ((8, 2), (5, 3), (7, 3)):
+        ctx = field_for_order(q)
+        arc = nrc_points(ctx, n)
+        ext = completeness_brute(arc)
+        want = [P for P in _all_points(q, n)
+                if P not in arc.points and is_arc(arc.points + [P], n, ctx)]
+        assert sorted(ext) == want, (q, n)
+
+
+def test_completeness_extension_points_pg6_8():
     ctx = field_for_order(8)
-    arc = nrc_points(ctx, 2)
-    ext = set(completeness_brute(arc))
-    all_pts = build_conic_model(8)._all_points()
-    for P in all_pts:
-        if P in arc.points:
-            continue
-        assert (P in ext) == is_arc(arc.points + [P], 2, ctx), P
+    arc = nrc_points(ctx, 6)
+    ext = completeness_brute(arc)
+    assert len(ext) == 10
+    for P in ext:
+        assert P not in arc.points and is_arc(arc.points + [P], 6, ctx)
+
+
+def test_completeness_rejects_other_point_lists():
+    ctx = field_for_order(7)
+    pts = nrc_points(ctx, 2).points
+    for other in (pts[::-1], pts[:-1], pts[:-1] + [(0, 1, 0)]):
+        with pytest.raises(ValueError, match="nrc_points"):
+            completeness_brute(NrcArc(n_dim=2, field=ctx, points=other))
 
 
 def test_completeness_guard():
