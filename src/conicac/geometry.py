@@ -2,17 +2,24 @@
 
 Conic points are indexed by a parameter t in F_q u {inf}; the point at
 infinity is encoded as the code q (one past the field range) so arrays of
-size q+1 stay dense.  Plane points have the codes 0 for (0,0,1), 1+z for
-(0,1,z) and 1+q+q*y+z for (1,y,z), which order them lexicographically.  The
-off-conic point set M_q (nucleus excluded for even q) is indexed in that
-order, which keeps bitset layouts reproducible across runs.
+size q+1 stay dense.  Plane points are canonical triples (0,0,1), (0,1,z)
+and (1,y,z).  The off-conic point set M_q (nucleus excluded for even q) is
+indexed in lexicographic order, which keeps bitset layouts reproducible
+across runs.
 
-The bisecant of {t1, t2} is the line [t1*t2, -(t1+t2), 1]: it holds
-(0,1,t1+t2) and (1,y,(t1+t2)*y - t1*t2) for every y, of which y = t1, t2 are
-the two conic points.  The bisecant of {t, inf} is x1 = t*x0: the points
-(1,t,z), of which z = t^2 is on the conic, and (0,0,1) = inf.  The model
-builds one M_q bitmask per pair from these closed forms.  The tangent at t
-is likewise read off (x - t)^2: the line [t^2, -2t, 1], and [1, 0, 0] at inf.
+The bisecant of {t1, t2} is the line [t1*t2, -(t1+t2), 1], and the
+bisecant of {t, inf} is x1 = t*x0.  So an off-conic point P = (x0,x1,x2)
+lies on the bisecant {t, s} exactly when s = sigma_P(t), where
+
+    sigma_P(t) = (x1*t - x2) / (x0*t - x1),   sigma_P(inf) = x1/x0,
+
+with a zero denominator giving inf.  sigma_P is the Moebius involution with
+matrix [[x1, -x2], [x0, -x1]]; its fixed points are the t whose tangent
+passes through P (two, none or one for external, internal and even-q
+points).  The model stores sigma_P(t) for every t and every M-point as the
+(q+1) x |M_q| partner table, with the tangent sentinel q+1 at the fixed
+points; a bisecant is one equality test on a row of it.  The tangent at t
+is read off (x - t)^2: the line [t^2, -2t, 1], and [1, 0, 0] at inf.
 """
 
 from __future__ import annotations
@@ -53,6 +60,11 @@ def on_line(ctx: FieldCtx, P, line) -> bool:
     return s == 0
 
 
+def pack_mask(flags) -> int:
+    """Python-int bitset with bit i set when flags[i] is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 class ConicModel:
     """Immutable incidence model shared read-only by the search layers."""
 
@@ -86,42 +98,33 @@ class ConicModel:
         excluded = set(self._conic_set)
         if self.nucleus is not None:
             excluded.add(self.nucleus)
-        points = self._all_points()
-        keep = [code for code, P in enumerate(points) if P not in excluded]
-        self.m_points = [points[code] for code in keep]
+        self.m_points = [P for P in self._all_points() if P not in excluded]
         self.m_index = {P: i for i, P in enumerate(self.m_points)}
         self.m_size = len(self.m_points)
         self.full_mask = (1 << self.m_size) - 1
 
-        # plane code -> M index; excluded points go to the spare index m_size
-        m_of_code = np.full(len(points), self.m_size, dtype=np.int64)
-        m_of_code[keep] = np.arange(self.m_size)
         add, mul = field_tables(ctx)
-        neg = add.argmin(axis=0)  # add[neg[b], b] == 0
-        ys = np.arange(q)
-        self._pair_mask = {}
-        for t1 in range(q):
-            # one row per t2 > t1 and a last row for t2 = inf, each holding
-            # the plane codes of the q+1 points on the bisecant
-            t2s = np.arange(t1 + 1, q)
-            sums, prods = add[t1, t2s], mul[t1, t2s]
-            codes = np.empty((len(t2s) + 1, q + 1), dtype=np.int64)
-            codes[:-1, 0] = 1 + sums
-            codes[:-1, 1:] = 1 + q + q * ys + add[mul[sums[:, None], ys], neg[prods][:, None]]
-            codes[-1, 0] = 0
-            codes[-1, 1:] = 1 + q + q * t1 + ys
-            idx = m_of_code[codes]
-            assert ((idx < self.m_size).sum(axis=1) == q - 1).all()
-            hit = np.zeros((len(codes), self.m_size + 1), dtype=bool)
-            np.put_along_axis(hit, idx, True, axis=1)
-            rows = np.packbits(hit[:, :-1], axis=1, bitorder="little")
-            for t2, row in zip([*t2s.tolist(), self.inf], rows):
-                self._pair_mask[(t1, t2)] = int.from_bytes(row.tobytes(), "little")
+        neg = add.argmin(axis=0)     # add[neg[b], b] == 0
+        inv = (mul == 1).argmax(axis=1)  # mul[a, inv[a]] == 1 for a != 0
+        x0, x1, x2 = np.array(self.m_points, dtype=np.int64).T
+        tangent_code = q + 1
+        dtype = np.int16 if q + 2 <= np.iinfo(np.int16).max else np.int32
+        self.partner = np.empty((q + 1, self.m_size), dtype=dtype)
+        neg_x1, neg_x2 = neg[x1], neg[x2]
+        for t in range(q):
+            mul_t = mul[t]
+            den = add[mul_t.take(x0), neg_x1]
+            num = add[mul_t.take(x1), neg_x2]
+            row = np.where(den == 0, self.inf, mul[num, inv[den]])
+            row[row == t] = tangent_code
+            self.partner[t] = row
+        self.partner[self.inf] = np.where(x0 == 1, x1, tangent_code)
+        self.partner.flags.writeable = False
 
     # --- construction helpers --------------------------------------------
 
     def _all_points(self):
-        """Every point of PG(2,q), in plane-code order."""
+        """Every point of PG(2,q), in lexicographic order."""
         ctx = self.ctx
         pts = [(0, 0, 1)]
         pts += [(0, 1, z) for z in range(ctx.q)]
@@ -145,17 +148,11 @@ class ConicModel:
         """Sorted M_q indices on the line through conic points t1, t2."""
         if t1 == t2:
             raise ValueError("bisecant needs two distinct parameters")
-        mask = self.pair_mask(t1, t2)
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return np.flatnonzero(self.partner[t1] == t2).tolist()
 
     def pair_mask(self, t1, t2) -> int:
-        key = (t1, t2) if t1 < t2 else (t2, t1)
-        return self._pair_mask[key]
+        """Bitmask over M_q of the bisecant through conic points t1, t2."""
+        return pack_mask(self.partner[t1] == t2)
 
     def tangent_count(self, P) -> int:
         ctx = self.ctx

@@ -179,13 +179,15 @@ def gdrs_generator(ctx: FieldCtx, n_dim: int, alphas, vs, v_last: int,
 # --- brute-force completeness --------------------------------------------
 
 def _canonical_points_array(ctx: FieldCtx, n_dim: int) -> np.ndarray:
-    """All (q^(N+1)-1)/(q-1) canonical points of PG(N,q) as code rows."""
+    """All (q^(N+1)-1)/(q-1) canonical points of PG(N,q) as code rows, in
+    the smallest unsigned dtype that holds q-1 (uint8 for q <= 256)."""
     q = ctx.q
+    dtype = np.min_scalar_type(q - 1)
     blocks = []
     for lead in range(n_dim + 1):
         free = n_dim - lead
         count = q ** free
-        block = np.zeros((count, n_dim + 1), dtype=np.int64)
+        block = np.zeros((count, n_dim + 1), dtype=dtype)
         block[:, lead] = 1
         idx = np.arange(count)
         for j in range(free):

@@ -1,12 +1,21 @@
 """Construction of AC-subsets: incremental coverage, greedy and randomized
 greedy search, and exhaustive minimum search with minimality verification.
 
-Coverage is tracked as a Python-int bitset over the M_q index space, so a
-step is a handful of OR / popcount operations.  `CoverageState` is the one
-incremental-coverage implementation: besides the covered set it keeps, for
-every not-yet-chosen parameter, the union of its bisecants with the chosen
-ones, so the gain of a candidate is a single AND + popcount.  The greedy
-passes drive a `CoverageState`.
+An M-point P is covered by a chosen set S when sigma_P(s) is in S for some
+s in S (see `geometry`: P lies on the bisecant {s, sigma_P(s)}).  The
+bisecants through one conic point c meet only in c, so the gain of a
+candidate c is additive over S:
+
+    gain(c) = sum over s in S of |uncovered points on bisecant {c, s}|
+            = #{uncovered P : sigma_P(c) in S}.
+
+`CoverageState` is the one incremental-coverage implementation.  It keeps
+the uncovered M-indices and these gain counts; adding t subtracts the
+contributions of the old S to the points t newly covers, and adds the
+contributions of t to the points still uncovered, each with one `bincount`
+over partner-table entries.  The greedy passes drive a `CoverageState`.
+The exhaustive search keeps Python-int bitsets, ORed from a local table of
+pair masks.
 """
 
 from __future__ import annotations
@@ -18,7 +27,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .geometry import ConicModel, build_conic_model
+import numpy as np
+
+from .geometry import ConicModel, build_conic_model, pack_mask
 
 DEFAULT_EXHAUSTIVE_CEILING = 32
 ENV_MAX_Q = "AC_MAX_Q_EXHAUSTIVE"
@@ -46,38 +57,66 @@ class CoverageState:
     def __init__(self, model: ConicModel):
         self.model = model
         self.chosen: list[int] = []
-        self.covered = 0
-        # unchosen parameter -> union of its bisecants with the chosen ones;
-        # keys stay in ascending parameter order
-        self.gain_mask = dict.fromkeys(model.params, 0)
+        # chosen flag per parameter; the tangent sentinel q+1 stays False
+        self.in_s = np.zeros(model.q + 2, dtype=bool)
+        self.uncov = np.arange(model.m_size)
+        # gain[c] = #{uncovered P : sigma_P(c) chosen}; meaningful for unchosen c
+        self.gain = np.zeros(model.q + 2, dtype=np.int64)
 
     @property
     def uncovered_count(self) -> int:
-        return self.model.m_size - self.covered.bit_count()
+        return len(self.uncov)
+
+    @property
+    def covered(self) -> int:
+        flags = np.ones(self.model.m_size, dtype=bool)
+        flags[self.uncov] = False
+        return pack_mask(flags)
+
+    def unchosen(self) -> list[int]:
+        """Parameters not chosen yet, ascending."""
+        return np.flatnonzero(~self.in_s[:-1]).tolist()
 
     def gains(self) -> dict[int, int]:
         """Number of newly covered points for each unchosen parameter."""
-        uncovered = ~self.covered
-        return {t: (m & uncovered).bit_count() for t, m in self.gain_mask.items()}
+        return {t: int(self.gain[t]) for t in self.unchosen()}
+
+    def best(self) -> list[int]:
+        """Unchosen parameters of maximal gain, ascending."""
+        gain = np.where(self.in_s[:-1], -1, self.gain[:-1])
+        return np.flatnonzero(gain == gain.max()).tolist()
 
     def add(self, t: int) -> int:
         """Append parameter t; return the number of newly covered points."""
-        if t not in self.gain_mask:
+        if not 0 <= t <= self.model.q or self.in_s[t]:
             raise ValueError(f"parameter {t} already chosen or not on the conic")
-        mask = self.gain_mask.pop(t)
-        delta = (mask & ~self.covered).bit_count()
-        self.covered |= mask
+        partner, size = self.model.partner, len(self.in_s)
+        row = partner[t].take(self.uncov)
+        hit = self.in_s.take(row)
+        new = self.uncov[hit]
+        # flat indices of partner[s, P] for s in the old S and P in new
+        flat = np.add.outer(np.array(self.chosen, dtype=np.intp) * partner.shape[1], new)
+        self.gain -= np.bincount(partner.take(flat).ravel(), minlength=size)
+        keep = ~hit
+        self.uncov = self.uncov[keep]
+        self.gain += np.bincount(row[keep], minlength=size)
+        self.in_s[t] = True
         self.chosen.append(t)
-        for s in self.gain_mask:
-            self.gain_mask[s] |= self.model.pair_mask(s, t)
-        return delta
+        return len(new)
+
+
+def _covered_flags(model: ConicModel, subset) -> np.ndarray:
+    """Per M-point: does some bisecant of the subset pass through it?"""
+    subset = list(subset)
+    if subset and not 0 <= min(subset) <= max(subset) <= model.q:
+        raise ValueError("subset has a parameter that is not on the conic")
+    in_s = np.zeros(model.q + 2, dtype=bool)
+    in_s[subset] = True
+    return in_s[model.partner[subset]].any(axis=0)
 
 
 def coverage_mask(model: ConicModel, subset) -> int:
-    mask = 0
-    for t1, t2 in combinations(subset, 2):
-        mask |= model.pair_mask(t1, t2)
-    return mask
+    return pack_mask(_covered_flags(model, subset))
 
 
 def is_ac_subset(model: ConicModel, subset) -> bool:
@@ -87,7 +126,7 @@ def is_ac_subset(model: ConicModel, subset) -> bool:
         raise ValueError("subset has duplicate parameters")
     if len(subset) >= model.q + 1:
         return False
-    return coverage_mask(model, subset) == model.full_mask
+    return bool(_covered_flags(model, subset).all())
 
 
 def is_minimal_ac(model: ConicModel, subset) -> bool:
@@ -115,13 +154,11 @@ def _greedy_run(model: ConicModel, start=(), rng: random.Random | None = None,
     for t in start:
         commit(t)
 
-    while state.covered != model.full_mask:
+    while state.uncovered_count:
         if rng is not None and random_step_prob > 0 and rng.random() < random_step_prob:
-            commit(rng.choice(list(state.gain_mask)))
+            commit(rng.choice(state.unchosen()))
             continue
-        gains = state.gains()
-        best_delta = max(gains.values())
-        best = [t for t, g in gains.items() if g == best_delta]
+        best = state.best()
         commit(best[0] if rng is None else rng.choice(best))
 
     return state.chosen, step_log
@@ -250,12 +287,20 @@ def exhaustive_min_ac(model: ConicModel, base_size: int = 6,
     params = model.params
     full = model.full_mask
     qm1 = q - 1
+    # pair[t][u]: bitmask of the bisecant {t, u} (0 on the diagonal)
+    pair = [[model.pair_mask(t, u) for u in params] for t in params]
+
+    def cover(subset):
+        mask = 0
+        for t, u in combinations(subset, 2):
+            mask |= pair[t][u]
+        return mask
 
     # tiny fields: direct enumeration by subset size
     if q + 1 <= base_size + 2:
         for s in range(3, q + 1):
             for comb in combinations(params, s):
-                if coverage_mask(model, comb) == full:
+                if cover(comb) == full:
                     return s, list(comb)
         raise AssertionError("full conic minus one point must be AC")
 
@@ -268,7 +313,7 @@ def exhaustive_min_ac(model: ConicModel, base_size: int = 6,
         if math.comb(s, 2) * qm1 < model.m_size:
             continue
         for comb in combinations(params, s):
-            if coverage_mask(model, comb) == full:
+            if cover(comb) == full:
                 return s, list(comb)
 
     def extend(subset, covered, cand_from):
@@ -289,12 +334,12 @@ def exhaustive_min_ac(model: ConicModel, base_size: int = 6,
         for j, t in enumerate(cand_from):
             mask = covered
             for u in subset:
-                mask |= model.pair_mask(t, u)
+                mask |= pair[t][u]
             # zero-gain extensions still recurse: they enable later coverage
             extend(subset + [t], mask, cand_from[j + 1:])
 
     for base in _canonical_bases(model, base_size):
-        covered = coverage_mask(model, base)
+        covered = cover(base)
         rest = [t for t in params if t not in base]
         extend(list(base), covered, rest)
 

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conicac.geometry import (build_conic_model, canon_point, line_through,
@@ -145,3 +146,36 @@ def test_param_name_roundtrip():
 def test_non_prime_power_rejected():
     with pytest.raises(ValueError):
         build_conic_model(6)
+
+
+@pytest.mark.parametrize("q", MODEL_QS + [121, 127, 128])
+def test_partner_table_properties(q):
+    """sigma_P is an involution, its fixed points (the tangent sentinel
+    q+1) are the tangents through P, and each row t pairs t with every
+    other parameter on the q-1 M-points of their bisecant."""
+    model = build_conic_model(q)
+    partner = model.partner.astype(np.int64)
+    sentinel = q + 1
+    assert partner.shape == (q + 1, model.m_size)
+    rows, cols = np.nonzero(partner != sentinel)
+    assert (partner[partner[rows, cols], cols] == rows).all()
+
+    for t in model.params:
+        counts = np.bincount(partner[t], minlength=q + 2)
+        assert counts[t] == 0
+        assert (np.delete(counts[:q + 1], t) == q - 1).all()
+
+    fixed = (partner == sentinel).sum(axis=0)
+    if q % 2 == 0:
+        assert (fixed == 1).all()
+        return
+    # odd q: q(q+1)/2 external points on two tangents, q(q-1)/2 internal
+    # points on none; classify_point is checked on every point for small q
+    # and on a sample for large q (it costs O(q) field operations per point)
+    assert np.bincount(fixed).tolist() == [q * (q - 1) // 2, 0, q * (q + 1) // 2]
+    idx = range(model.m_size)
+    if q > 32:
+        idx = random.Random(q).sample(idx, 300)
+    want = {"external": 2, "internal": 0}
+    for i in idx:
+        assert fixed[i] == want[model.classify_point(model.m_points[i])]

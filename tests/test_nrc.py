@@ -1,13 +1,14 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 
 from conicac.geometry import build_conic_model, canon_point
 from conicac.gf import field_for_order
-from conicac.nrc import (P0_REL_TOL, NrcArc, _c_schedule, _p0_margin, completeness_brute,
-                         corollary11_range, gdrs_generator, is_arc, is_prime,
-                         nrc_points, p0_solve)
+from conicac.nrc import (P0_REL_TOL, NrcArc, _c_schedule, _canonical_points_array,
+                         _p0_margin, completeness_brute, corollary11_range,
+                         gdrs_generator, is_arc, is_prime, nrc_points, p0_solve)
 from conicac.tables import EXACT_T
 
 P0_DEFAULT = {
@@ -213,6 +214,17 @@ def test_completeness_rejects_other_point_lists():
     for other in (pts[::-1], pts[:-1], pts[:-1] + [(0, 1, 0)]):
         with pytest.raises(ValueError, match="nrc_points"):
             completeness_brute(NrcArc(n_dim=2, field=ctx, points=other))
+
+
+@pytest.mark.parametrize("q, n, dtype", [(4, 3, np.uint8), (16, 2, np.uint8),
+                                         (256, 2, np.uint8), (257, 2, np.uint16)])
+def test_canonical_points_smallest_dtype(q, n, dtype):
+    """Point codes use the smallest unsigned dtype holding q-1, which keeps
+    the largest instances the guard admits, such as (16,6), near 125 MB."""
+    pts = _canonical_points_array(field_for_order(q), n)
+    assert pts.dtype == dtype
+    assert pts.shape == ((q ** (n + 1) - 1) // (q - 1), n + 1)
+    assert int(pts.max()) == q - 1
 
 
 def test_completeness_guard():

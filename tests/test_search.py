@@ -1,9 +1,15 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import conicac
 from conicac.geometry import build_conic_model
 from conicac.search import (CoverageState, coverage_mask, exhaustive_min_ac,
                             greedy_search, is_ac_subset, is_minimal_ac,
@@ -51,6 +57,11 @@ def test_coverage_matches_determinant_oracle(q):
         assert st.covered == mask
         assert sum(deltas) == mask.bit_count()
         assert st.uncovered_count == model.m_size - len(want)
+        # gain counts: points each unchosen candidate would newly cover
+        assert st.gains() == {
+            t: len(set().union(*(pair_cover[tuple(sorted((t, s)))]
+                                 for s in subset)) - want)
+            for t in model.params if t not in subset}
 
 
 def test_coverage_add_examples():
@@ -71,6 +82,9 @@ def test_is_ac_subset_examples():
     assert not is_ac_subset(model, [0, 1])
     with pytest.raises(ValueError):
         is_ac_subset(model, [0, 0, 1])
+    for bad in (-1, model.inf + 1):
+        with pytest.raises(ValueError, match="not on the conic"):
+            is_ac_subset(model, [0, 1, bad])
 
 
 def test_is_minimal_ac():
@@ -163,9 +177,10 @@ def test_randomized_greedy_deterministic():
     assert c.is_ac
 
 
-# Witness and step log of randomized_greedy(model, seed=1, restarts=20); any
-# change to the model or the greedy must reproduce them exactly.  The q cover
-# prime fields and odd and even extension fields.
+# Witness and step log of randomized_greedy(model, seed=1, restarts=20), or
+# restarts=5 for the benchmark sizes q = 121, 127, 128; any change to the
+# model or the greedy must reproduce them exactly.  The q cover prime fields
+# and odd and even extension fields.
 PINNED_GREEDY = {
     16: ([10, 5, 2, 0, 15, 14, 16, 1, 8],
          [(1, 0, 255), (2, 15, 240), (3, 30, 210), (4, 42, 168), (5, 48, 120),
@@ -201,12 +216,57 @@ PINNED_GREEDY = {
           (13, 284, 892), (14, 235, 657), (15, 197, 460), (16, 156, 304),
           (17, 126, 178), (18, 80, 98), (19, 56, 42), (20, 18, 24),
           (21, 16, 8), (22, 8, 0)]),
+    121: ([40, 66, 22, 18, 7, 53, 77, 103, 9, 76, 81, 63, 3, 8, 32, 26, 24,
+           111, 108, 72, 73, 36, 61, 34, 67, 80, 118, 50, 106, 115, 47, 55,
+           57, 71, 0],
+          [(1, 0, 14641), (2, 120, 14521), (3, 240, 14281), (4, 357, 13924),
+           (5, 468, 13456), (6, 573, 12883), (7, 664, 12219),
+           (8, 737, 11482), (9, 797, 10685), (10, 863, 9822),
+           (11, 901, 8921), (12, 926, 7995), (13, 916, 7079),
+           (14, 863, 6216), (15, 839, 5377), (16, 776, 4601),
+           (17, 721, 3880), (18, 660, 3220), (19, 589, 2631),
+           (20, 479, 2152), (21, 448, 1704), (22, 388, 1316),
+           (23, 318, 998), (24, 258, 740), (25, 202, 538), (26, 158, 380),
+           (27, 106, 274), (28, 94, 180), (29, 58, 122), (30, 57, 65),
+           (31, 30, 35), (32, 9, 26), (33, 15, 11), (34, 10, 1), (35, 1, 0)]),
+    127: ([81, 65, 22, 18, 7, 85, 103, 102, 9, 36, 110, 112, 6, 66, 62, 61,
+           96, 49, 113, 70, 71, 97, 95, 60, 16, 73, 118, 17, 105, 58, 38,
+           50, 12, 27, 94, 127],
+          [(1, 0, 16129), (2, 126, 16003), (3, 252, 15751), (4, 375, 15376),
+           (5, 492, 14884), (6, 604, 14280), (7, 700, 13580),
+           (8, 778, 12802), (9, 846, 11956), (10, 912, 11044),
+           (11, 942, 10102), (12, 962, 9140), (13, 964, 8176),
+           (14, 946, 7230), (15, 914, 6316), (16, 872, 5444),
+           (17, 804, 4640), (18, 746, 3894), (19, 671, 3223),
+           (20, 554, 2669), (21, 525, 2144), (22, 460, 1684),
+           (23, 393, 1291), (24, 304, 987), (25, 263, 724), (26, 203, 521),
+           (27, 113, 408), (28, 127, 281), (29, 71, 210), (30, 78, 132),
+           (31, 54, 78), (32, 25, 53), (33, 29, 24), (34, 14, 10),
+           (35, 7, 3), (36, 3, 0)]),
+    128: ([57, 1, 125, 26, 44, 120, 52, 126, 0, 104, 9, 99, 71, 100, 14, 41,
+           116, 92, 36, 83, 75, 117, 40, 121, 20, 103, 53, 90, 78, 21, 18,
+           30, 106, 128, 69],
+          [(1, 0, 16383), (2, 127, 16256), (3, 254, 16002), (4, 378, 15624),
+           (5, 496, 15128), (6, 606, 14522), (7, 708, 13814),
+           (8, 798, 13016), (9, 857, 12159), (10, 920, 11239),
+           (11, 955, 10284), (12, 982, 9302), (13, 975, 8327),
+           (14, 966, 7361), (15, 926, 6435), (16, 886, 5549),
+           (17, 825, 4724), (18, 758, 3966), (19, 685, 3281),
+           (20, 611, 2670), (21, 526, 2144), (22, 449, 1695),
+           (23, 378, 1317), (24, 312, 1005), (25, 258, 747), (26, 210, 537),
+           (27, 161, 376), (28, 121, 255), (29, 87, 168), (30, 63, 105),
+           (31, 42, 63), (32, 30, 33), (33, 16, 17), (34, 12, 5),
+           (35, 5, 0)]),
 }
+
+
+PINNED_RESTARTS = {121: 5, 127: 5, 128: 5}
 
 
 @pytest.mark.parametrize("q", sorted(PINNED_GREEDY))
 def test_randomized_greedy_pinned_for_fixed_seed(q):
-    res = randomized_greedy(build_conic_model(q), seed=1, restarts=20)
+    res = randomized_greedy(build_conic_model(q), seed=1,
+                            restarts=PINNED_RESTARTS.get(q, 20))
     witness, step_log = PINNED_GREEDY[q]
     assert res.witness == witness
     assert res.step_log == step_log
@@ -217,6 +277,36 @@ def test_randomized_greedy_job_count_invariant():
     a = randomized_greedy(model, seed=3, restarts=12, jobs=1)
     b = randomized_greedy(model, seed=3, restarts=12, jobs=3)
     assert a.witness == b.witness
+
+
+SPAWN_SCRIPT = """
+import json, multiprocessing
+from conicac.geometry import build_conic_model
+from conicac.search import randomized_greedy
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    model = build_conic_model(11)
+    runs = [randomized_greedy(model, seed=3, restarts=12, jobs=jobs)
+            for jobs in (1, 2)]
+    print(json.dumps([[r.witness, r.step_log] for r in runs]))
+"""
+
+
+def test_randomized_greedy_spawn_start_method_invariant(tmp_path):
+    """Workers started by spawn rebuild the model from scratch; the result
+    must not depend on the start method or the job count."""
+    script = tmp_path / "spawn_run.py"
+    script.write_text(SPAWN_SCRIPT)
+    src = str(Path(conicac.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, str(script)], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path})
+    one, two = json.loads(out.stdout)
+    assert one == two
+    here = randomized_greedy(build_conic_model(11), seed=3, restarts=12)
+    assert one == json.loads(json.dumps([here.witness, here.step_log]))
 
 
 def test_randomized_greedy_zero_prob_is_greedy_quality():
