@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import time
 
@@ -18,8 +17,8 @@ from . import tables
 from .gf import field_for_order
 from .geometry import build_conic_model
 from .nrc import completeness_brute, corollary11_range, nrc_points, p0_solve
-from .search import (DEFAULT_EXHAUSTIVE_CEILING, ENV_MAX_Q, exhaustive_min_ac,
-                     is_ac_subset, randomized_greedy)
+from .search import (check_exhaustive_args, exhaustive_min_ac, is_ac_subset,
+                     randomized_greedy)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -36,14 +35,9 @@ def cmd_exact(args) -> int:
     q = args.q
     if q < 5:
         raise CliError(f"q={q} < 5: outside the exact-search scope")
-    ceiling = int(os.environ.get(ENV_MAX_Q, DEFAULT_EXHAUSTIVE_CEILING))
-    if q > ceiling and not args.force:
-        raise CliError(f"q={q} above exhaustive ceiling {ceiling} "
-                       f"(use --force; budget grows to hours for q near 32)")
+    check_exhaustive_args(q, base_size=args.base_size, force=args.force)
     model = build_conic_model(q)
-    t, witness = exhaustive_min_ac(model, base_size=args.base_size,
-                                   ceiling=ceiling, force=args.force)
-    assert is_ac_subset(model, witness)
+    t, witness = exhaustive_min_ac(model, base_size=args.base_size, force=args.force)
     names = ",".join(model.param_name(p) for p in witness)
     print(f"q={q} t={t} witness={names}")
     return EXIT_OK

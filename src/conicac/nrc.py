@@ -210,10 +210,11 @@ def completeness_brute(arc: NrcArc):
         raise ValueError(f"instance too large: q^N = {q ** n_dim} > {COMPLETENESS_GUARD}")
     if arc.points != nrc_points(ctx, n_dim).points:
         raise ValueError("completeness_brute needs the points of nrc_points(field, N), in order")
-    add, mul = field_tables(ctx)
+    pts = np.asfortranarray(_canonical_points_array(ctx, n_dim))  # contiguous columns
+    # tables in the point dtype keep every per-point temporary as narrow as pts
+    add, mul = (table.astype(pts.dtype) for table in field_tables(ctx))
     neg = add.argmin(axis=0)  # add[neg[b], b] == 0
-    pts = _canonical_points_array(ctx, n_dim)
-    cand = np.arange(len(pts))
+    cand = np.arange(len(pts), dtype=np.int32)
     for params in combinations(range(q + 1), n_dim):
         coef = np.zeros(n_dim + 1, dtype=np.int64)
         coef[0] = 1
@@ -221,9 +222,9 @@ def completeness_brute(arc: NrcArc):
             if t < q:  # multiply by (x - t); inf (code q) adds no factor
                 coef[1:] = add[coef[:-1], mul[neg[t], coef[1:]]]
                 coef[0] = mul[neg[t], coef[0]]
-        dot = np.zeros(len(cand), dtype=np.int64)
+        dot = np.zeros(len(cand), dtype=pts.dtype)
         for i in np.nonzero(coef)[0]:
-            dot = add[dot, mul[pts[cand, i], coef[i]]]
+            dot = add[dot, mul[coef[i]].take(pts[:, i].take(cand))]
         cand = cand[dot != 0]
         if cand.size == 0:
             break

@@ -16,6 +16,17 @@ contributions of t to the points still uncovered, each with one `bincount`
 over partner-table entries.  The greedy passes drive a `CoverageState`.
 The exhaustive search keeps Python-int bitsets, ORed from a local table of
 pair masks.
+
+The exhaustive search seeds its enumeration with one base per PGL(2,q)
+orbit.  PGL(2,q) is sharply 3-transitive, so the map sending an ordered
+triple (x, y, z) to (0, 1, inf) is unique and sends t to the cross ratio
+
+    (t; x, y, z) = [t,x]*[y,z] / ([t,z]*[y,x]),   zero denominator -> inf,
+
+where [s,t] = u_s*v_t - u_t*v_s for the homogeneous pairs t -> (t, 1) and
+inf -> (1, 0).  A base through {0, 1, inf} is canonical when no such map
+of one of its ordered triples gives a lexicographically smaller sorted
+image; all candidate bases are tested at once, one triple at a time.
 """
 
 from __future__ import annotations
@@ -25,11 +36,12 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
 from .geometry import ConicModel, build_conic_model, pack_mask
+from .gf import FieldCtx, field_tables
 
 DEFAULT_EXHAUSTIVE_CEILING = 32
 ENV_MAX_Q = "AC_MAX_Q_EXHAUSTIVE"
@@ -213,60 +225,61 @@ def randomized_greedy(model: ConicModel, seed: int, restarts: int,
 
 # --- exhaustive search ----------------------------------------------------
 
-def _mobius_matrix(ctx, x, y, z, inf):
-    """2x2 matrix over F_q sending parameters (x, y, z) to (0, 1, inf)."""
-    if x == inf:
-        return (0, ctx.sub(y, z), 1, ctx.neg(z))
-    if y == inf:
-        return (1, ctx.neg(x), 1, ctx.neg(z))
-    if z == inf:
-        return (1, ctx.neg(x), 0, ctx.sub(y, x))
-    yz = ctx.sub(y, z)
-    yx = ctx.sub(y, x)
-    return (yz, ctx.neg(ctx.mul(x, yz)), yx, ctx.neg(ctx.mul(z, yx)))
+def _cross_ratio(ctx: FieldCtx):
+    """Vectorized cross ratio (t; x, y, z) over parameter codes (inf = q).
 
+    [s,t] = u_s*v_t - u_t*v_s is the determinant of the homogeneous pairs
+    t -> (t, 1) and inf -> (1, 0), held as one (q+1) x (q+1) table; the
+    returned function maps broadcastable code arrays t, x, y, z to
+    [t,x]*[y,z] / ([t,z]*[y,x]), with a zero denominator giving inf."""
+    q = ctx.q
+    add, mul = field_tables(ctx)
+    neg = add.argmin(axis=0)         # add[neg[b], b] == 0
+    inv = (mul == 1).argmax(axis=1)  # mul[a, inv[a]] == 1 for a != 0
+    u = np.append(np.arange(q), 1)
+    v = np.append(np.ones(q, dtype=np.int64), 0)
+    det = add[mul[u[:, None], v], neg[mul[u, v[:, None]]]]
 
-def _mobius_apply(ctx, mat, t, inf):
-    a, b, c, d = mat
-    if t == inf:
-        num, den = a, c
-    else:
-        num = ctx.add(ctx.mul(a, t), b)
-        den = ctx.add(ctx.mul(c, t), d)
-    if den == 0:
-        return inf
-    return ctx.div(num, den)
+    def cross(t, x, y, z):
+        num = mul[det[t, x], det[y, z]]
+        den = mul[det[t, z], det[y, x]]
+        return np.where(den == 0, q, mul[num, inv[den]])
 
-
-def _canonical_base(model: ConicModel, base: tuple[int, ...]) -> tuple[int, ...]:
-    """Minimal image of `base` under PGL(2,q), among images containing
-    {0, 1, inf}: minimize sorted images over all ordered triples of base."""
-    ctx, inf = model.ctx, model.inf
-    best = None
-    for x in base:
-        for y in base:
-            if y == x:
-                continue
-            for z in base:
-                if z == x or z == y:
-                    continue
-                mat = _mobius_matrix(ctx, x, y, z, inf)
-                img = tuple(sorted(_mobius_apply(ctx, mat, t, inf) for t in base))
-                if best is None or img < best:
-                    best = img
-    return best
+    return cross
 
 
 def _canonical_bases(model: ConicModel, base_size: int):
     """All base subsets of size base_size up to the PGL(2,q) parameter
-    action: representatives contain {0, 1, inf} and are minimal images."""
-    inf = model.inf
-    fixed = (0, 1, inf)
-    rest = [t for t in model.params if t not in fixed]
-    for extra in combinations(rest, base_size - 3):
-        base = tuple(sorted(fixed + extra))
-        if _canonical_base(model, base) == base:
-            yield base
+    action, in `combinations` order: representatives contain {0, 1, inf}
+    and are their own minimal sorted image under the maps sending an
+    ordered triple of the base to (0, 1, inf).  Each base is one row; a
+    row is dropped as soon as one image is lexicographically smaller."""
+    q, k = model.q, base_size
+    cross = _cross_ratio(model.ctx)
+    count = math.comb(q - 2, k - 3)
+    rows = ((0, 1, *extra, q) for extra in combinations(range(2, q), k - 3))
+    bases = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
+                        count=count * k).reshape(count, k)
+    for x, y, z in permutations(range(k), 3):
+        img = np.sort(cross(bases, bases[:, [x]], bases[:, [y]], bases[:, [z]]), axis=1)
+        first = (img != bases).argmax(axis=1)[:, None]
+        smaller = np.take_along_axis(img, first, 1) < np.take_along_axis(bases, first, 1)
+        bases = bases[~smaller.ravel()]
+    yield from map(tuple, bases.tolist())
+
+
+def check_exhaustive_args(q: int, base_size: int = 6, ceiling: int | None = None,
+                          force: bool = False) -> None:
+    """Raise ValueError unless `exhaustive_min_ac` may run: base_size >= 3,
+    and q within the ceiling (default from AC_MAX_Q_EXHAUSTIVE, else 32)
+    unless forced."""
+    if base_size < 3:
+        raise ValueError(f"base size {base_size} < 3: a base holds 0, 1 and inf")
+    if ceiling is None:
+        ceiling = int(os.environ.get(ENV_MAX_Q, DEFAULT_EXHAUSTIVE_CEILING))
+    if q > ceiling and not force:
+        raise ValueError(f"q={q} above exhaustive ceiling {ceiling}; "
+                         f"use --force (force=True) or set {ENV_MAX_Q}")
 
 
 def exhaustive_min_ac(model: ConicModel, base_size: int = 6,
@@ -278,11 +291,7 @@ def exhaustive_min_ac(model: ConicModel, base_size: int = 6,
     current best.  A randomized-greedy run seeds the initial upper bound
     (pruning only; exactness is unaffected)."""
     q = model.q
-    if ceiling is None:
-        ceiling = int(os.environ.get(ENV_MAX_Q, DEFAULT_EXHAUSTIVE_CEILING))
-    if q > ceiling and not force:
-        raise ValueError(f"q={q} above exhaustive ceiling {ceiling}; "
-                         f"use force or set {ENV_MAX_Q}")
+    check_exhaustive_args(q, base_size, ceiling, force)
 
     params = model.params
     full = model.full_mask

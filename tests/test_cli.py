@@ -17,6 +17,48 @@ def test_exact_command(capsys):
     assert out.startswith("q=9 t=6 witness=")
 
 
+# `ac exact q` stdout for every prime power 5 <= q <= 25, recorded with the
+# scalar Moebius canonicaliser; the enumeration must reproduce it byte for byte.
+EXACT_STDOUT = {
+    5: "q=5 t=5 witness=0,1,2,3,4",
+    7: "q=7 t=6 witness=0,1,2,3,4,5",
+    8: "q=8 t=6 witness=6,inf,7,3,1,4",
+    9: "q=9 t=6 witness=6,inf,4,2,1,5",
+    11: "q=11 t=8 witness=6,9,4,7,3,10,0,5",
+    13: "q=13 t=8 witness=12,0,9,5,7,3,6,inf",
+    16: "q=16 t=9 witness=13,inf,12,7,3,15,2,5,6",
+    17: "q=17 t=10 witness=13,inf,9,5,3,12,4,16,6,0",
+    19: "q=19 t=11 witness=13,17,9,12,6,7,2,5,inf,4,14",
+    23: "q=23 t=12 witness=13,17,9,12,6,15,1,inf,4,11,16,0",
+    25: "q=25 t=12 witness=24,1,17,10,13,3,15,21,8,7,0,20",
+}
+
+
+@pytest.mark.parametrize("q", sorted(EXACT_STDOUT))
+def test_exact_stdout_pinned(capsys, monkeypatch, q):
+    monkeypatch.delenv("AC_MAX_Q_EXHAUSTIVE", raising=False)
+    code, out, err = run(capsys, "exact", str(q))
+    assert code == cli.EXIT_OK and err == ""
+    assert out == EXACT_STDOUT[q] + "\n"
+
+
+def test_exact_ceiling_checked_before_model_build(capsys, monkeypatch):
+    def no_build(q):
+        raise AssertionError("model built for a refused q")
+
+    monkeypatch.delenv("AC_MAX_Q_EXHAUSTIVE", raising=False)
+    monkeypatch.setattr(cli, "build_conic_model", no_build)
+    code, out, err = run(capsys, "exact", "64")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "ceiling" in err and "Traceback" not in err
+
+
+def test_exact_rejects_small_base_size(capsys):
+    code, out, err = run(capsys, "exact", "11", "--base-size", "2")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: base size 2")
+
+
 def test_exact_rejects_bad_q(capsys):
     code, _, err = run(capsys, "exact", "10")
     assert code == cli.EXIT_USAGE and "prime power" in err

@@ -4,19 +4,23 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conicac
 from conicac.geometry import build_conic_model
-from conicac.search import (CoverageState, coverage_mask, exhaustive_min_ac,
-                            greedy_search, is_ac_subset, is_minimal_ac,
-                            randomized_greedy)
+from conicac.gf import factor_prime_power, field_for_order
+from conicac.search import (CoverageState, _canonical_bases, _cross_ratio,
+                            check_exhaustive_args, coverage_mask,
+                            exhaustive_min_ac, greedy_search, is_ac_subset,
+                            is_minimal_ac, randomized_greedy)
 from conicac.tables import EXACT_T
 
 ORACLE_QS = (5, 7, 8, 9, 11, 13)
+MODEL_QS = [q for q in range(4, 33) if factor_prime_power(q)]
 
 
 def _det3(ctx, A, B, C):
@@ -362,3 +366,80 @@ def test_witness_line_format():
     assert q == "5" and int(size) == res.size
     parsed = [model.parse_param(s) for s in names.split(",")]
     assert parsed == res.witness
+
+
+# --- canonical bases -------------------------------------------------------
+
+def _mobius_matrix(ctx, x, y, z, inf):
+    """2x2 matrix over F_q sending parameters (x, y, z) to (0, 1, inf)."""
+    if x == inf:
+        return (0, ctx.sub(y, z), 1, ctx.neg(z))
+    if y == inf:
+        return (1, ctx.neg(x), 1, ctx.neg(z))
+    if z == inf:
+        return (1, ctx.neg(x), 0, ctx.sub(y, x))
+    yz = ctx.sub(y, z)
+    yx = ctx.sub(y, x)
+    return (yz, ctx.neg(ctx.mul(x, yz)), yx, ctx.neg(ctx.mul(z, yx)))
+
+
+def _mobius_apply(ctx, mat, t, inf):
+    a, b, c, d = mat
+    if t == inf:
+        num, den = a, c
+    else:
+        num = ctx.add(ctx.mul(a, t), b)
+        den = ctx.add(ctx.mul(c, t), d)
+    return inf if den == 0 else ctx.div(num, den)
+
+
+def oracle_canonical_bases(model, base_size):
+    """Scalar reference: bases through {0, 1, inf} that equal their minimal
+    sorted image over the Moebius maps sending an ordered triple of the
+    base to (0, 1, inf)."""
+    ctx, inf = model.ctx, model.inf
+    rest = [t for t in model.params if t not in (0, 1, inf)]
+    out = []
+    for extra in combinations(rest, base_size - 3):
+        base = tuple(sorted((0, 1, inf) + extra))
+        best = min(tuple(sorted(_mobius_apply(ctx, _mobius_matrix(ctx, x, y, z, inf), t, inf)
+                                for t in base))
+                   for x, y, z in permutations(base, 3))
+        if best == base:
+            out.append(base)
+    return out
+
+
+@pytest.mark.parametrize("q", [q for q in MODEL_QS if 7 <= q <= 17])
+def test_canonical_bases_match_scalar_moebius_oracle(q):
+    model = build_conic_model(q)
+    assert list(_canonical_bases(model, 6)) == oracle_canonical_bases(model, 6)
+
+
+# Number of canonical 6-point bases, recorded with the scalar canonicaliser.
+CANONICAL_BASE_COUNTS = {7: 1, 8: 1, 9: 2, 11: 4, 13: 5, 16: 8, 17: 10, 19: 13,
+                         23: 22, 25: 28, 27: 34, 29: 42, 31: 51, 32: 53}
+
+
+def test_canonical_base_counts_pinned():
+    assert {q: len(list(_canonical_bases(build_conic_model(q), 6)))
+            for q in CANONICAL_BASE_COUNTS} == CANONICAL_BASE_COUNTS
+
+
+@pytest.mark.parametrize("q", MODEL_QS)
+def test_cross_ratio_is_the_moebius_map_to_0_1_inf(q):
+    cross = _cross_ratio(field_for_order(q))
+    everything = list(range(q + 1))
+    rng = random.Random(300 + q)
+    for _ in range(20):
+        x, y, z = rng.sample(everything, 3)
+        images = cross(np.arange(q + 1), x, y, z)
+        assert [images[x], images[y], images[z]] == [0, 1, q]
+        assert sorted(images.tolist()) == everything
+
+
+def test_exhaustive_rejects_small_base_size():
+    with pytest.raises(ValueError, match="base size"):
+        check_exhaustive_args(11, base_size=2)
+    with pytest.raises(ValueError, match="base size"):
+        exhaustive_min_ac(build_conic_model(11), base_size=2)
