@@ -204,7 +204,7 @@ BOUND_NAMES = ("A", "B", "C", "theta")
 
 
 def evaluate_bound(name: str, q: int):
-    """Bound value for one q, or None when infeasible / not applicable."""
+    """Bound value for one prime power q >= 5, or None where it is infeasible."""
     if name == "A":
         if (q - 5) ** 2 < 1:  # U0 = (q-5)^2 leaves nothing to cover
             return None
@@ -216,10 +216,7 @@ def evaluate_bound(name: str, q: int):
     if name == "C":
         return bound_c_phi(q)
     if name == "theta":
-        try:
-            return theta(q)
-        except ValueError:
-            return None
+        return theta(q)
     raise ValueError(f"unknown bound name {name!r}")
 
 

@@ -75,13 +75,17 @@ def cmd_search(args) -> int:
 
 def _parse_grid(args):
     if args.q is not None:
-        return [args.q]
-    if args.qlist:
-        return [int(x) for x in args.qlist.split(",")]
-    if args.grid:
-        limit = FIG_GRIDS[args.grid]
-        return bnd.prime_powers_up_to(limit)
-    raise CliError("one of --q, --qlist, --grid is required")
+        grid = [args.q]
+    elif args.qlist:
+        grid = [int(x) for x in args.qlist.split(",")]
+    elif args.grid:
+        return bnd.prime_powers_up_to(FIG_GRIDS[args.grid])
+    else:
+        raise CliError("one of --q, --qlist, --grid is required")
+    for q in grid:
+        if q < 5 or not bnd.is_prime_power(q):
+            raise CliError(f"q={q} is not a prime power >= 5")
+    return grid
 
 
 def cmd_bounds(args) -> int:

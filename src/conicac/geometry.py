@@ -3,9 +3,10 @@
 Conic points are indexed by a parameter t in F_q u {inf}; the point at
 infinity is encoded as the code q (one past the field range) so arrays of
 size q+1 stay dense.  Plane points are canonical triples (0,0,1), (0,1,z)
-and (1,y,z).  The off-conic point set M_q (nucleus excluded for even q) is
-indexed in lexicographic order, which keeps bitset layouts reproducible
-across runs.
+and (1,y,z).  The off-conic point set M_q is held as three read-only
+coordinate arrays in lexicographic order, built in closed form: (0,1,z),
+without the nucleus (0,1,0) for even q, then (1,y,z) with z != y^2.  The
+order keeps bitset layouts reproducible across runs.
 
 The bisecant of {t1, t2} is the line [t1*t2, -(t1+t2), 1], and the
 bisecant of {t, inf} is x1 = t*x0.  So an off-conic point P = (x0,x1,x2)
@@ -15,11 +16,13 @@ lies on the bisecant {t, s} exactly when s = sigma_P(t), where
 
 with a zero denominator giving inf.  sigma_P is the Moebius involution with
 matrix [[x1, -x2], [x0, -x1]]; its fixed points are the t whose tangent
-passes through P (two, none or one for external, internal and even-q
-points).  The model stores sigma_P(t) for every t and every M-point as the
-(q+1) x |M_q| partner table, with the tangent sentinel q+1 at the fixed
-points; a bisecant is one equality test on a row of it.  The tangent at t
-is read off (x - t)^2: the line [t^2, -2t, 1], and [1, 0, 0] at inf.
+passes through P.  They are the roots of x0*t^2 - 2*x1*t + x2 (plus inf
+when x0 = 0): two, none or one, as x1^2 - x0*x2 is a nonzero square, a
+non-square or q is even, which names P external, internal or m-even.  The
+model stores sigma_P(t) for every t and every M-point as the (q+1) x |M_q|
+partner table, with the tangent sentinel q+1 at the fixed points; a
+bisecant is one equality test on a row of it.  The tangent at t is read
+off (x - t)^2: the line [t^2, -2t, 1], and [1, 0, 0] at inf.
 """
 
 from __future__ import annotations
@@ -45,21 +48,6 @@ def canon_point(ctx: FieldCtx, triple) -> tuple[int, int, int]:
     raise ValueError("zero triple has no projective point")
 
 
-def line_through(ctx: FieldCtx, P, Q) -> tuple[int, int, int]:
-    """Canonical dual coordinates of the unique line through distinct P, Q."""
-    a = ctx.sub(ctx.mul(P[1], Q[2]), ctx.mul(P[2], Q[1]))
-    b = ctx.sub(ctx.mul(P[2], Q[0]), ctx.mul(P[0], Q[2]))
-    c = ctx.sub(ctx.mul(P[0], Q[1]), ctx.mul(P[1], Q[0]))
-    return canon_point(ctx, (a, b, c))
-
-
-def on_line(ctx: FieldCtx, P, line) -> bool:
-    s = 0
-    for x, a in zip(P, line):
-        s = ctx.add(s, ctx.mul(x, a))
-    return s == 0
-
-
 def pack_mask(flags) -> int:
     """Python-int bitset with bit i set when flags[i] is true."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
@@ -77,36 +65,27 @@ class ConicModel:
         self.inf = q  # parameter code for the point at infinity
 
         self.params = list(range(q)) + [q]
-        self.conic_point = {}
-        for t in range(q):
-            self.conic_point[t] = (1, t, ctx.mul(t, t))
-        self.conic_point[q] = (0, 0, 1)
-        self._conic_set = set(self.conic_point.values())
 
         two = ctx.add(1, 1)
         self.tangent = {t: canon_point(ctx, (ctx.mul(t, t), ctx.neg(ctx.mul(two, t)), 1))
                         for t in range(q)}
         self.tangent[q] = (1, 0, 0)
+        # for even q the tangents [t^2, 0, 1] and [1, 0, 0] all pass through (0,1,0)
+        self.nucleus = (0, 1, 0) if q % 2 == 0 else None
 
-        self.nucleus = None
-        if q % 2 == 0:
-            # tangent at t is [t^2, 0, 1] (and [1, 0, 0] at inf)
-            P = (0, 1, 0)
-            assert all(on_line(ctx, P, l) for l in self.tangent.values())
-            self.nucleus = P
-
-        excluded = set(self._conic_set)
-        if self.nucleus is not None:
-            excluded.add(self.nucleus)
-        self.m_points = [P for P in self._all_points() if P not in excluded]
-        self.m_index = {P: i for i, P in enumerate(self.m_points)}
-        self.m_size = len(self.m_points)
+        add, mul, neg, inv = field_tables(ctx)
+        y, z = np.divmod(np.arange(q * q), q)
+        off = z != mul[y, y]
+        z0 = np.arange(1 if q % 2 == 0 else 0, q)  # for even q, z = 0 is the nucleus
+        self.m_coords = np.concatenate([
+            np.stack([np.zeros_like(z0), np.ones_like(z0), z0]),  # (0,1,z)
+            np.stack([np.ones_like(y[off]), y[off], z[off]]),     # (1,y,z), z != y^2
+        ], axis=1)
+        self.m_coords.flags.writeable = False
+        self.m_size = self.m_coords.shape[1]
         self.full_mask = (1 << self.m_size) - 1
 
-        add, mul = field_tables(ctx)
-        neg = add.argmin(axis=0)     # add[neg[b], b] == 0
-        inv = (mul == 1).argmax(axis=1)  # mul[a, inv[a]] == 1 for a != 0
-        x0, x1, x2 = np.array(self.m_points, dtype=np.int64).T
+        x0, x1, x2 = self.m_coords
         tangent_code = q + 1
         dtype = np.int16 if q + 2 <= np.iinfo(np.int16).max else np.int32
         self.partner = np.empty((q + 1, self.m_size), dtype=dtype)
@@ -120,16 +99,6 @@ class ConicModel:
             self.partner[t] = row
         self.partner[self.inf] = np.where(x0 == 1, x1, tangent_code)
         self.partner.flags.writeable = False
-
-    # --- construction helpers --------------------------------------------
-
-    def _all_points(self):
-        """Every point of PG(2,q), in lexicographic order."""
-        ctx = self.ctx
-        pts = [(0, 0, 1)]
-        pts += [(0, 1, z) for z in range(ctx.q)]
-        pts += [(1, y, z) for y in range(ctx.q) for z in range(ctx.q)]
-        return pts
 
     # --- queries ----------------------------------------------------------
 
@@ -154,23 +123,17 @@ class ConicModel:
         """Bitmask over M_q of the bisecant through conic points t1, t2."""
         return pack_mask(self.partner[t1] == t2)
 
-    def tangent_count(self, P) -> int:
-        ctx = self.ctx
-        return sum(on_line(ctx, P, l) for l in self.tangent.values())
-
     def classify_point(self, P) -> str:
-        if P in self._conic_set:
+        """Kind of the point P (any nonzero triple): on-conic, nucleus,
+        m-even, or, for odd q, external or internal (see the module docstring)."""
+        ctx = self.ctx
+        x0, x1, x2 = P
+        disc = ctx.sub(ctx.mul(x1, x1), ctx.mul(x0, x2))
+        if disc == 0:
             return "on-conic"
-        if self.nucleus is not None and P == self.nucleus:
-            return "nucleus"
         if self.q % 2 == 0:
-            return "m-even"
-        n = self.tangent_count(P)
-        if n == 2:
-            return "external"
-        if n == 0:
-            return "internal"
-        raise AssertionError(f"odd-q point {P} on {n} tangents")
+            return "nucleus" if x0 == x2 == 0 else "m-even"
+        return "external" if ctx.pow(disc, (self.q - 1) // 2) == 1 else "internal"
 
 
 @lru_cache(maxsize=None)

@@ -2,15 +2,26 @@
 
 Elements are dense integer codes in [0, q): the base-p digits of a code are
 the coefficients of the representing polynomial, least-significant digit =
-constant term.  Prime fields work directly mod p; extension fields go through
-exp/log tables built from a multiplicative generator, so every operation is a
-couple of array lookups.  `field_tables` gives whole add/mul tables for
-vectorized code; `is_prime` is the shared deterministic primality test.
+constant term, reduced modulo `modulus`, the smallest monic irreducible of
+degree m (None for a prime field).  Every field, prime or not, is held as
+lookup tables over the powers of one multiplicative generator alpha:
+
+    exp[i] = alpha^i,   log[alpha^i] = i,   alpha^zech[n] = 1 + alpha^n,
+
+where zech is the Zech logarithm (Lidl & Niederreiter, *Finite Fields*,
+ch. 9).  The log of 0 is the sentinel 2(q-1), and exp reads 0 from index
+2(q-1) on, so a product is exp[log a + log b] without a test for zero, and
+a sum of nonzero a, b is exp[log a + zech[(log b - log a) mod (q-1)]], with
+zech[n] the sentinel where 1 + alpha^n = 0.  The scalar `FieldCtx` methods
+and the whole-field arrays of `field_tables` are both these lookups;
+`is_prime` is the shared deterministic primality test.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -19,6 +30,7 @@ class FieldError(ValueError):
     pass
 
 
+FIELD_MAX_Q = 1 << 20  # the tables hold O(q) Python ints
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -54,57 +66,23 @@ def _poly_from_code(code: int, p: int) -> list[int]:
     return coeffs
 
 
-def _code_from_poly(coeffs: list[int], p: int) -> int:
-    code = 0
-    for c in reversed(coeffs):
-        code = code * p + c
-    return code
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int):
-    """Quotient and remainder of a by b over F_p; b must be nonzero."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    lb_inv = pow(lb, p - 2, p) if p > 2 else lb
-    quot = [0] * max(len(a) - db, 1)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        shift = len(a) - 1 - db
-        factor = (a[-1] * lb_inv) % p
-        quot[shift] = factor
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bi) % p
-    while a and a[-1] == 0:
-        a.pop()
-    return quot, a
-
-
 def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
-    return _poly_divmod(a, mod, p)[1]
+    """Remainder of a modulo the monic polynomial mod over F_p, as deg(mod) digits."""
+    a, d = list(a), len(mod) - 1
+    for top in range(len(a) - 1, d - 1, -1):
+        f = a[top]
+        if f:
+            for i, c in enumerate(mod):
+                a[top - d + i] = (a[top - d + i] - f * c) % p
+    return a[:d]
 
 
 def _irreducible(coeffs: list[int], p: int) -> bool:
     """Trial division by all monic polynomials of degree <= deg/2."""
     deg = len(coeffs) - 1
     for d in range(1, deg // 2 + 1):
-        for low in range(p ** d):
-            g = _poly_from_code(low, p)
-            g += [0] * (d - len(g)) + [1]
-            if not _poly_mod(coeffs, g, p):
+        for code in range(p ** d, 2 * p ** d):
+            if not any(_poly_mod(coeffs, _poly_from_code(code, p), p)):
                 return False
     return True
 
@@ -123,6 +101,30 @@ def min_irreducible(p: int, m: int) -> list[int]:
     raise FieldError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
+def _generator_powers(p: int, m: int, modulus) -> np.ndarray:
+    """alpha^0, ..., alpha^(q-2) for the generator alpha of smallest code.
+
+    Multiplication by g is F_p-linear on digit vectors: row i of its matrix
+    is g*x^i, so one matrix product gives c*g for every code c, and the
+    walk 1, g, g^2, ... visits all q-1 units exactly when g generates."""
+    q = p ** m
+    weights = p ** np.arange(m, dtype=np.int64)
+    digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
+    for g in range(1, q):
+        rows = [digits[g].tolist()]
+        for _ in range(m - 1):  # g*x^(i+1) = (g*x^i)*x, reduced by the monic modulus
+            top = rows[-1][-1]
+            rows.append([(a - top * c) % p for a, c in zip([0] + rows[-1][:-1], modulus)])
+        step = ((digits @ np.array(rows, dtype=np.int64)) % p @ weights).tolist()
+        powers, x = [1], step[1]
+        while x != 1:
+            powers.append(x)
+            x = step[x]
+        if len(powers) == q - 1:
+            return np.array(powers, dtype=np.int64)
+    raise FieldError(f"no multiplicative generator found for q={q}")
+
+
 class FieldCtx:
     """Immutable GF(p^m) arithmetic context; safe to share across workers."""
 
@@ -132,97 +134,56 @@ class FieldCtx:
         if m < 1:
             raise FieldError(f"m={m} must be >= 1")
         q = p ** m
-        if q >= 1 << 63:
-            raise FieldError(f"q={q} exceeds the 64-bit range")
+        if q > FIELD_MAX_Q:
+            raise FieldError(f"q={q} exceeds the table-backed field limit {FIELD_MAX_Q}")
         self.p = p
         self.m = m
         self.q = q
-        if m == 1:
-            self.modulus = None
-            self._log = self._exp = None
-        else:
-            self.modulus = min_irreducible(p, m)
-            self._build_exp_log()
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        prod = _poly_mul(_poly_from_code(a, self.p), _poly_from_code(b, self.p), self.p)
-        return _code_from_poly(_poly_mod(prod, self.modulus, self.p), self.p)
-
-    def _build_exp_log(self):
-        q = self.q
-        for g in range(2, q):
-            exp = [0] * (q - 1)
-            x, ok = 1, True
-            for i in range(q - 1):
-                exp[i] = x
-                x = self._mul_slow(x, g)
-                if x == 1 and i < q - 2:
-                    ok = False
-                    break
-            if ok and x == 1:
-                log = [0] * q
-                for i, e in enumerate(exp):
-                    log[e] = i
-                self._exp = exp
-                self._log = log
-                return
-        raise FieldError(f"no multiplicative generator found for q={q}")
+        self.modulus = min_irreducible(p, m) if m > 1 else None
+        n = self._n = q - 1
+        powers = _generator_powers(p, m, self.modulus)
+        log = np.full(q, 2 * n, dtype=np.int64)  # 2n: the log of 0
+        log[powers] = np.arange(n)
+        # 1 + c only changes the constant digit of c
+        zech = log[powers - powers % p + (powers + 1) % p]
+        powers = powers.tolist()
+        self._exp = powers + powers + [0] * (2 * n + 1)
+        self._log = log.tolist()
+        self._zech = zech.tolist()
 
     # --- arithmetic -------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        p, out, mult = self.p, 0, 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        return self._exp[la + self._zech[(self._log[b] - la) % self._n]]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        p, out, mult = self.p, 0, 1
-        while a:
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._exp[self._log[a] + self._log[self.p - 1]]
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.m == 1:
-            return (a * b) % self.p
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise FieldError("inverse of zero")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self._exp[self._n - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        if b == 0:
+            raise FieldError("inverse of zero")
+        return self._exp[self._log[a] + self._n - self._log[b]]
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
         if a == 0:
+            if e < 0:
+                raise FieldError("inverse of zero")
             return 0 if e else 1
-        if self.m == 1:
-            return pow(a, e, self.p)
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        return self._exp[self._log[a] * e % self._n]
 
     def elements(self):
         return range(self.q)
@@ -232,15 +193,20 @@ class FieldCtx:
 
 
 def field_tables(ctx: FieldCtx):
-    """Addition and multiplication tables of the field as q x q int64 arrays."""
-    q = ctx.q
-    add = np.empty((q, q), dtype=np.int64)
-    mul = np.empty((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(q):
-            add[a, b] = ctx.add(a, b)
-            mul[a, b] = ctx.mul(a, b)
-    return add, mul
+    """The field as int32 arrays (q <= 2^20, logs below 2^22): q x q
+    addition and multiplication tables, and the length-q negation and
+    inverse tables (inv[0] = 0).  Each entry is the scalar method's
+    lookup, done for all elements at once."""
+    q, n = ctx.q, ctx._n
+    exp, log, zech = (np.array(t, dtype=np.int32) for t in (ctx._exp, ctx._log, ctx._zech))
+    la, lb = log[:, None], log[None, :]
+    mul = exp[la + lb]
+    add = exp[la + zech.take(lb - la, mode="wrap")]  # wrap: index mod n
+    add[0] = add[:, 0] = np.arange(q)  # a + 0 = a; the Zech form needs a, b != 0
+    neg = exp[log + log[ctx.p - 1]]
+    inv = exp[n - log]
+    inv[0] = 0
+    return add, mul, neg, inv
 
 
 @lru_cache(maxsize=None)
@@ -252,16 +218,13 @@ def factor_prime_power(q: int):
     """Return (p, m) with q = p^m, or None when q is not a prime power."""
     if q < 2:
         return None
-    d = 2
-    n = q
-    while d * d <= n:
-        if n % d == 0:
+    for d in chain((2,), range(3, math.isqrt(q) + 1, 2)):  # smallest prime factor
+        if q % d == 0:
             m = 0
-            while n % d == 0:
-                n //= d
+            while q % d == 0:
+                q //= d
                 m += 1
-            return (d, m) if n == 1 else None
-        d += 1
+            return (d, m) if q == 1 else None
     return (q, 1)
 
 

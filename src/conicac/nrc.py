@@ -211,9 +211,9 @@ def completeness_brute(arc: NrcArc):
     if arc.points != nrc_points(ctx, n_dim).points:
         raise ValueError("completeness_brute needs the points of nrc_points(field, N), in order")
     pts = np.asfortranarray(_canonical_points_array(ctx, n_dim))  # contiguous columns
+    add, mul, neg, _ = field_tables(ctx)
     # tables in the point dtype keep every per-point temporary as narrow as pts
-    add, mul = (table.astype(pts.dtype) for table in field_tables(ctx))
-    neg = add.argmin(axis=0)  # add[neg[b], b] == 0
+    add, mul = add.astype(pts.dtype), mul.astype(pts.dtype)
     cand = np.arange(len(pts), dtype=np.int32)
     for params in combinations(range(q + 1), n_dim):
         coef = np.zeros(n_dim + 1, dtype=np.int64)

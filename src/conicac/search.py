@@ -186,14 +186,18 @@ def _restart_seed(seed: int, index: int) -> int:
     return (seed * 1000003 + index) & 0x7FFFFFFFFFFFFFFF
 
 
-def _run_restart_chunk(q, seed, indices, prob):
-    model = build_conic_model(q)
+def _run_restart_chunk(model, seed, indices, prob):
     out = []
     for i in indices:
         rng = random.Random(_restart_seed(seed, i))
         chosen, log = _greedy_run(model, rng=rng, random_step_prob=prob)
         out.append((len(chosen), i, chosen, log))
     return out
+
+
+def _pool_restart_chunk(q, seed, indices, prob):
+    """Worker entry: the model is looked up by q, not pickled."""
+    return _run_restart_chunk(build_conic_model(q), seed, indices, prob)
 
 
 def randomized_greedy(model: ConicModel, seed: int, restarts: int,
@@ -205,15 +209,17 @@ def randomized_greedy(model: ConicModel, seed: int, restarts: int,
     winner is the smallest size with the lowest restart index."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if not 0 <= random_step_prob <= 1:  # also rejects nan
+        raise ValueError(f"random_step_prob={random_step_prob} is not in [0, 1]")
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     results = []
     if jobs == 1 or restarts == 1:
-        results = _run_restart_chunk(model.q, seed, range(restarts), random_step_prob)
+        results = _run_restart_chunk(model, seed, range(restarts), random_step_prob)
     else:
         chunks = [list(range(k, restarts, jobs)) for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(_run_restart_chunk, model.q, seed, c, random_step_prob)
+            futs = [pool.submit(_pool_restart_chunk, model.q, seed, c, random_step_prob)
                     for c in chunks if c]
             for f in futs:
                 results.extend(f.result())
@@ -233,9 +239,7 @@ def _cross_ratio(ctx: FieldCtx):
     returned function maps broadcastable code arrays t, x, y, z to
     [t,x]*[y,z] / ([t,z]*[y,x]), with a zero denominator giving inf."""
     q = ctx.q
-    add, mul = field_tables(ctx)
-    neg = add.argmin(axis=0)         # add[neg[b], b] == 0
-    inv = (mul == 1).argmax(axis=1)  # mul[a, inv[a]] == 1 for a != 0
+    add, mul, neg, inv = field_tables(ctx)
     u = np.append(np.arange(q), 1)
     v = np.append(np.ones(q, dtype=np.int64), 0)
     det = add[mul[u[:, None], v], neg[mul[u, v[:, None]]]]

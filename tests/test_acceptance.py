@@ -119,11 +119,13 @@ def _coverage_oracle_and_gain_bound():
             t3 = ctx.mul(A[2], ctx.sub(ctx.mul(B[0], C[1]), ctx.mul(B[1], C[0])))
             return ctx.add(ctx.add(t1, t2), t3)
 
+        conic = [(1, t, ctx.mul(t, t)) for t in range(q)] + [(0, 0, 1)]
+        m_points = list(zip(*model.m_coords.tolist()))
         pair_cover = {}
         for t1, t2 in combinations(model.params, 2):
-            A, B = model.conic_point[t1], model.conic_point[t2]
+            A, B = conic[t1], conic[t2]
             pair_cover[(t1, t2)] = {
-                i for i, P in enumerate(model.m_points) if det3(A, B, P) == 0}
+                i for i, P in enumerate(m_points) if det3(A, B, P) == 0}
 
         rng = random.Random(q)
         for _ in range(500):

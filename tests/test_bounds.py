@@ -269,7 +269,8 @@ def test_theorem41_examples():
 def test_evaluate_bound():
     assert evaluate_bound("A", 11) == 8.0
     assert evaluate_bound("B", 9) is None
-    assert evaluate_bound("theta", 100) is None
+    with pytest.raises(ValueError):
+        evaluate_bound("theta", 100)  # not a prime power
     assert math.isclose(evaluate_bound("C", 101), bound_c_phi(101), rel_tol=0)
     with pytest.raises(ValueError):
         evaluate_bound("Z", 11)

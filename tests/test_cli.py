@@ -134,6 +134,23 @@ def test_bad_paths_are_usage_errors(tmp_path, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [("--q", "6"), ("--qlist", "7,6"), ("--q", "4")])
+def test_bounds_rejects_q_that_is_not_a_prime_power_from_5(tmp_path, capsys, argv):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: q=") and "prime power" in err
+    path = tmp_path / "b.csv"
+    code, _, _ = run(capsys, "bounds", *argv, "--out", str(path))
+    assert code == cli.EXIT_USAGE and not path.exists()
+
+
+@pytest.mark.parametrize("prob", ["1.5", "-3", "nan"])
+def test_search_rejects_prob_outside_unit_interval(capsys, prob):
+    code, out, err = run(capsys, "search", "7", "--restarts", "2", "--prob", prob)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: random_step_prob")
+
+
 def test_bounds_rejects_unknown_name(capsys):
     code, _, err = run(capsys, "bounds", "--q", "11", "--names", "A,Z")
     assert code == cli.EXIT_USAGE and "unknown bound" in err

@@ -4,11 +4,45 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conicac.geometry import (build_conic_model, canon_point, line_through,
-                              on_line)
+from conicac.geometry import build_conic_model, canon_point
 from conicac.gf import factor_prime_power, field_for_order
 
 MODEL_QS = [q for q in range(4, 33) if factor_prime_power(q)]
+
+
+# --- scalar oracles: incidence by dot products, points by enumeration ----
+
+def line_through(ctx, P, Q):
+    """Canonical dual coordinates of the unique line through distinct P, Q."""
+    a = ctx.sub(ctx.mul(P[1], Q[2]), ctx.mul(P[2], Q[1]))
+    b = ctx.sub(ctx.mul(P[2], Q[0]), ctx.mul(P[0], Q[2]))
+    c = ctx.sub(ctx.mul(P[0], Q[1]), ctx.mul(P[1], Q[0]))
+    return canon_point(ctx, (a, b, c))
+
+
+def on_line(ctx, P, line):
+    s = 0
+    for x, a in zip(P, line):
+        s = ctx.add(s, ctx.mul(x, a))
+    return s == 0
+
+
+def all_points(q):
+    """Every point of PG(2,q), in lexicographic order."""
+    return ([(0, 0, 1)] + [(0, 1, z) for z in range(q)]
+            + [(1, y, z) for y in range(q) for z in range(q)])
+
+
+def conic_point(model, t):
+    return (0, 0, 1) if t == model.inf else (1, t, model.ctx.mul(t, t))
+
+
+def m_points(model):
+    return list(zip(*model.m_coords.tolist()))
+
+
+def tangent_count(model, P):
+    return sum(on_line(model.ctx, P, l) for l in model.tangent.values())
 
 
 def test_canon_point_examples():
@@ -32,8 +66,7 @@ def test_line_through_and_incidence():
         assert on_line(f7, P, line) and on_line(f7, Q, line)
         assert line == line_through(f7, Q, P)
         # a line of PG(2,7) carries exactly 8 points
-        model = build_conic_model(7)
-        count = sum(on_line(f7, R, line) for R in model._all_points())
+        count = sum(on_line(f7, R, line) for R in all_points(7))
         assert count == 8
 
 
@@ -41,8 +74,8 @@ def test_line_through_and_incidence():
 def test_point_counts(q):
     model = build_conic_model(q)
     assert len(model.params) == q + 1
-    assert len(set(model.conic_point.values())) == q + 1
-    assert len(model._all_points()) == q * q + q + 1
+    assert len({conic_point(model, t) for t in model.params}) == q + 1
+    assert len(all_points(q)) == q * q + q + 1
     if q % 2 == 0:
         assert model.m_size == q * q - 1
     else:
@@ -52,7 +85,7 @@ def test_point_counts(q):
 def test_nucleus_even_q():
     model = build_conic_model(8)
     assert model.nucleus == (0, 1, 0)
-    assert model.tangent_count(model.nucleus) == 9
+    assert tangent_count(model, model.nucleus) == 9
     assert build_conic_model(4).nucleus == (0, 1, 0)
     assert build_conic_model(9).nucleus is None
 
@@ -69,7 +102,7 @@ def test_tangents_concurrent_even_q(q):
 def test_tangent_meets_conic_only_at_t(q):
     model = build_conic_model(q)
     for t, line in model.tangent.items():
-        hits = [s for s in model.params if on_line(model.ctx, model.conic_point[s], line)]
+        hits = [s for s in model.params if on_line(model.ctx, conic_point(model, s), line)]
         assert hits == [t], (t, hits)
 
 
@@ -96,9 +129,8 @@ def test_bisecant_indices_match_line_scan(q):
     pairs = rng.sample(list(combinations(model.params, 2)), 10)
     pairs += [(0, model.inf), (rng.randrange(1, q), model.inf)]
     for t1, t2 in pairs:
-        line = line_through(ctx, model.conic_point[t1], model.conic_point[t2])
-        want = sorted(model.m_index[P] for P in model.m_points
-                      if on_line(ctx, P, line))
+        line = line_through(ctx, conic_point(model, t1), conic_point(model, t2))
+        want = [i for i, P in enumerate(m_points(model)) if on_line(ctx, P, line)]
         assert model.bisecant_mpoints(t1, t2) == want
         assert model.bisecant_mpoints(t2, t1) == want
 
@@ -106,7 +138,7 @@ def test_bisecant_indices_match_line_scan(q):
 def test_classification_counts_odd_q():
     model = build_conic_model(5)
     kinds = {}
-    for P in model._all_points():
+    for P in all_points(model.q):
         kinds.setdefault(model.classify_point(P), []).append(P)
     assert len(kinds["on-conic"]) == 6
     assert len(kinds["external"]) == 15   # q(q+1)/2
@@ -117,7 +149,7 @@ def test_classification_counts_odd_q():
 def test_classification_counts_even_q():
     model = build_conic_model(8)
     kinds = {}
-    for P in model._all_points():
+    for P in all_points(model.q):
         kinds.setdefault(model.classify_point(P), []).append(P)
     assert len(kinds["on-conic"]) == 9
     assert len(kinds["nucleus"]) == 1
@@ -130,9 +162,25 @@ def test_on_conic_example():
 
 
 def test_m_index_is_lexicographic():
-    model = build_conic_model(9)
-    assert model.m_points == sorted(model.m_points)
-    assert all(model.m_index[P] == i for i, P in enumerate(model.m_points))
+    for q in (8, 9):
+        model = build_conic_model(q)
+        pts = m_points(model)
+        assert pts == sorted(pts)
+        excluded = {conic_point(model, t) for t in model.params} | {model.nucleus}
+        assert pts == [P for P in all_points(q) if P not in excluded]
+        assert not model.m_coords.flags.writeable
+
+
+@pytest.mark.parametrize("q", MODEL_QS)
+def test_classify_point_matches_tangent_count(q):
+    """Closed form (x1^2 - x0*x2 zero, square or non-square) against the
+    number of tangents through each point of PG(2,q)."""
+    model = build_conic_model(q)
+    conic = {conic_point(model, t) for t in model.params}
+    want = {2: "external", 0: "internal", 1: "m-even", q + 1: "nucleus"}
+    for P in all_points(q):
+        kind = "on-conic" if P in conic else want[tangent_count(model, P)]
+        assert model.classify_point(P) == kind, P
 
 
 def test_param_name_roundtrip():
@@ -170,12 +218,8 @@ def test_partner_table_properties(q):
         assert (fixed == 1).all()
         return
     # odd q: q(q+1)/2 external points on two tangents, q(q-1)/2 internal
-    # points on none; classify_point is checked on every point for small q
-    # and on a sample for large q (it costs O(q) field operations per point)
+    # points on none
     assert np.bincount(fixed).tolist() == [q * (q - 1) // 2, 0, q * (q + 1) // 2]
-    idx = range(model.m_size)
-    if q > 32:
-        idx = random.Random(q).sample(idx, 300)
     want = {"external": 2, "internal": 0}
-    for i in idx:
-        assert fixed[i] == want[model.classify_point(model.m_points[i])]
+    for i, P in enumerate(m_points(model)):
+        assert fixed[i] == want[model.classify_point(P)]

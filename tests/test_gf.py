@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from conicac.gf import FieldCtx, FieldError, factor_prime_power, field_new
+from conicac.gf import (FieldCtx, FieldError, factor_prime_power, field_new,
+                        field_tables, min_irreducible)
 
 PRIME_POWERS_64 = [q for q in range(2, 65) if factor_prime_power(q)]
 
@@ -64,6 +65,8 @@ def test_construction_errors():
         FieldCtx(2, 0)
     with pytest.raises(FieldError):
         FieldCtx(2, 64)
+    with pytest.raises(FieldError):
+        FieldCtx(2, 21)  # above the table-backed limit of 2^20 elements
 
 
 def test_gf8_mul_examples():
@@ -143,3 +146,51 @@ def test_factor_prime_power():
     assert factor_prime_power(128) == (2, 7)
     assert factor_prime_power(100) is None
     assert factor_prime_power(97) == (97, 1)
+
+
+def numpy_field_oracle(p, m):
+    """add, mul, neg and inv tables of GF(p^m) from digit vectors alone:
+    digit-wise sums, and schoolbook products reduced modulo
+    min_irreducible(p, m); inv[0] = 0."""
+    q = p ** m
+    weights = p ** np.arange(m)
+    d = np.arange(q)[:, None] // weights % p  # q x m digits, constant term first
+    add = (d[:, None, :] + d[None, :, :]) % p @ weights
+    prod = np.zeros((q, q, 2 * m - 1), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            prod[:, :, i + j] += d[:, None, i] * d[None, :, j]
+    if m > 1:
+        mod = min_irreducible(p, m)
+        for k in range(2 * m - 2, m - 1, -1):  # cancel x^k with x^(k-m) * mod
+            lead = prod[:, :, k] % p
+            for i, c in enumerate(mod):
+                prod[:, :, k - m + i] -= lead * c
+    mul = prod[:, :, :m] % p @ weights
+    neg = (-d % p) @ weights
+    inv = (mul == 1).argmax(axis=1)
+    return add, mul, neg, inv
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS_64 if q >= 4] + [121, 125, 128, 243, 256])
+def test_field_matches_numpy_oracle(q):
+    p, m = factor_prime_power(q)
+    f = FieldCtx(p, m)
+    add, mul, neg, inv = numpy_field_oracle(p, m)
+    for got, want in zip(field_tables(f), (add, mul, neg, inv)):
+        assert np.array_equal(got, want)
+    elems = range(q)
+    assert np.array_equal([[f.add(a, b) for b in elems] for a in elems], add)
+    assert np.array_equal([[f.mul(a, b) for b in elems] for a in elems], mul)
+    assert np.array_equal([[f.sub(a, b) for b in elems] for a in elems], add[:, neg])
+    assert np.array_equal([[f.div(a, b) for b in elems[1:]] for a in elems], mul[:, inv[1:]])
+    assert [f.neg(a) for a in elems] == neg.tolist()
+    assert [f.inv(a) for a in elems[1:]] == inv[1:].tolist()
+    # pow against repeated multiplication, negative exponents through inv
+    for e in (0, 1, 2, 3, q - 2, q - 1, q, -1, -2):
+        want = np.ones(q, dtype=np.int64)
+        base = np.arange(q) if e >= 0 else inv
+        for _ in range(abs(e)):
+            want = mul[want, base]
+        got = [f.pow(a, e) for a in (elems if e >= 0 else elems[1:])]
+        assert got == (want if e >= 0 else want[1:]).tolist(), e

@@ -98,8 +98,8 @@ def test_nrc_dim2_is_the_conic():
     for q in (5, 7, 8, 9):
         ctx = field_for_order(q)
         arc = nrc_points(ctx, 2)
-        model = build_conic_model(q)
-        assert set(arc.points) == set(model.conic_point.values())
+        conic = {(1, t, ctx.mul(t, t)) for t in range(q)} | {(0, 0, 1)}
+        assert set(arc.points) == conic
 
 
 def test_nrc_point_count_and_canonical():
@@ -139,7 +139,7 @@ def test_is_arc_rejects_degenerate():
 
 def test_conic_plus_nucleus_is_arc_even_q():
     model = build_conic_model(4)
-    pts = list(model.conic_point.values()) + [model.nucleus]
+    pts = [(1, t, model.ctx.mul(t, t)) for t in range(4)] + [(0, 0, 1), model.nucleus]
     assert is_arc(pts, 2, model.ctx)
 
 

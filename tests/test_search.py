@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import conicac
-from conicac.geometry import build_conic_model
+from conicac import search
+from conicac.geometry import ConicModel, build_conic_model
 from conicac.gf import factor_prime_power, field_for_order
 from conicac.search import (CoverageState, _canonical_bases, _cross_ratio,
                             check_exhaustive_args, coverage_mask,
@@ -34,11 +35,13 @@ def oracle_pair_cover(model):
     """Independent per-pair coverage sets: M-point P lies on the bisecant
     through conic params (t1, t2) iff det(C(t1), C(t2), P) vanishes."""
     ctx = model.ctx
+    conic = [(1, t, ctx.mul(t, t)) for t in range(model.q)] + [(0, 0, 1)]
+    m_points = list(zip(*model.m_coords.tolist()))
     out = {}
     for t1, t2 in combinations(model.params, 2):
-        A, B = model.conic_point[t1], model.conic_point[t2]
+        A, B = conic[t1], conic[t2]
         out[(t1, t2)] = frozenset(
-            i for i, P in enumerate(model.m_points) if _det3(ctx, A, B, P) == 0)
+            i for i, P in enumerate(m_points) if _det3(ctx, A, B, P) == 0)
     return out
 
 
@@ -281,6 +284,16 @@ def test_randomized_greedy_job_count_invariant():
     a = randomized_greedy(model, seed=3, restarts=12, jobs=1)
     b = randomized_greedy(model, seed=3, restarts=12, jobs=3)
     assert a.witness == b.witness
+
+
+def test_randomized_greedy_runs_on_the_callers_model(monkeypatch):
+    calls = []
+    monkeypatch.setattr(search, "build_conic_model",
+                        lambda q: calls.append(q) or build_conic_model(q))
+    own = ConicModel(field_for_order(11))
+    res = randomized_greedy(own, seed=1, restarts=3)
+    assert calls == []
+    assert res.witness == randomized_greedy(build_conic_model(11), seed=1, restarts=3).witness
 
 
 SPAWN_SCRIPT = """
