@@ -16,15 +16,16 @@ from . import bounds as bnd
 from . import tables
 from .gf import field_for_order
 from .geometry import build_conic_model
-from .nrc import completeness_brute, corollary11_range, nrc_points, p0_solve
-from .search import (check_exhaustive_args, exhaustive_min_ac, is_ac_subset,
-                     randomized_greedy)
+from .nrc import (check_completeness_size, completeness_brute, corollary11_range,
+                  nrc_points, p0_solve)
+from .search import exhaustive_min_ac, is_ac_subset, randomized_greedy
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 FIG_GRIDS = {"fig1": 253009, "fig2": 14000029}
+EXACT_CEILING = 32  # largest q `ac exact` runs without --force
 
 
 class CliError(Exception):
@@ -35,9 +36,10 @@ def cmd_exact(args) -> int:
     q = args.q
     if q < 5:
         raise CliError(f"q={q} < 5: outside the exact-search scope")
-    check_exhaustive_args(q, base_size=args.base_size, force=args.force)
+    if q > EXACT_CEILING and not args.force:
+        raise CliError(f"q={q} above the exhaustive ceiling {EXACT_CEILING}; use --force")
     model = build_conic_model(q)
-    t, witness = exhaustive_min_ac(model, base_size=args.base_size, force=args.force)
+    t, witness = exhaustive_min_ac(model)
     names = ",".join(model.param_name(p) for p in witness)
     print(f"q={q} t={t} witness={names}")
     return EXIT_OK
@@ -133,11 +135,8 @@ def cmd_nrc(args) -> int:
         return EXIT_OK
     if args.complete:
         q, n_dim = args.complete
-        arc = nrc_points(field_for_order(q), n_dim)
-        try:
-            ext = completeness_brute(arc)
-        except ValueError as e:
-            raise CliError(str(e)) from e
+        check_completeness_size(q, n_dim)
+        ext = completeness_brute(nrc_points(field_for_order(q), n_dim))
         if not ext:
             print(f"q={q} N={n_dim}: complete")
         else:
@@ -162,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact minimum AC-subset size by exhaustive search")
     p.add_argument("q", type=int)
     p.add_argument("--force", action="store_true",
-                   help="allow q above the exhaustive ceiling")
-    p.add_argument("--base-size", type=int, default=6)
+                   help=f"allow q above the exhaustive ceiling {EXACT_CEILING}")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("search", help="randomized greedy search for small AC-subsets")

@@ -106,10 +106,14 @@ class NrcArc:
     points: list[tuple[int, ...]]  # canonical, q+1 of them
 
 
-def nrc_points(ctx: FieldCtx, n_dim: int) -> NrcArc:
-    q = ctx.q
+def _check_dimension(q: int, n_dim: int) -> None:
     if not 2 <= n_dim <= q - 2:
         raise ValueError(f"need 2 <= N <= q-2, got N={n_dim}, q={q}")
+
+
+def nrc_points(ctx: FieldCtx, n_dim: int) -> NrcArc:
+    q = ctx.q
+    _check_dimension(q, n_dim)
     pts = [tuple(ctx.pow(t, k) for k in range(n_dim + 1)) for t in range(q)]
     pts.append((0,) * n_dim + (1,))
     return NrcArc(n_dim=n_dim, field=ctx, points=pts)
@@ -196,6 +200,14 @@ def _canonical_points_array(ctx: FieldCtx, n_dim: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
+def check_completeness_size(q: int, n_dim: int) -> None:
+    """Refuse N outside [2, q-2] or q^N > COMPLETENESS_GUARD without a field
+    or q^N: q^min(N, 27) exceeds the guard exactly when q^N does (2^27 > 10^8)."""
+    _check_dimension(q, n_dim)
+    if q ** min(n_dim, 27) > COMPLETENESS_GUARD:
+        raise ValueError(f"instance too large: q^N > {COMPLETENESS_GUARD}")
+
+
 def completeness_brute(arc: NrcArc):
     """All points P outside the arc with arc u {P} still an arc.
 
@@ -206,8 +218,7 @@ def completeness_brute(arc: NrcArc):
     `_canonical_points_array`."""
     ctx, n_dim = arc.field, arc.n_dim
     q = ctx.q
-    if q ** n_dim > COMPLETENESS_GUARD:
-        raise ValueError(f"instance too large: q^N = {q ** n_dim} > {COMPLETENESS_GUARD}")
+    check_completeness_size(q, n_dim)
     if arc.points != nrc_points(ctx, n_dim).points:
         raise ValueError("completeness_brute needs the points of nrc_points(field, N), in order")
     pts = np.asfortranarray(_canonical_points_array(ctx, n_dim))  # contiguous columns

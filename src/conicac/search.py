@@ -27,6 +27,11 @@ where [s,t] = u_s*v_t - u_t*v_s for the homogeneous pairs t -> (t, 1) and
 inf -> (1, 0).  A base through {0, 1, inf} is canonical when no such map
 of one of its ordered triples gives a lexicographically smaller sorted
 image; all candidate bases are tested at once, one triple at a time.
+
+AC-ness is invariant under PGL(2,q), so the exhaustive search needs only
+canonical bases, one per orbit (cf. B. D. McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998): of size k = min(max(3, g - 4), 10)
+for a greedy seed of size g, and of each size below k.
 """
 
 from __future__ import annotations
@@ -43,9 +48,6 @@ import numpy as np
 from .geometry import ConicModel, build_conic_model, pack_mask
 from .gf import FieldCtx, field_tables
 
-DEFAULT_EXHAUSTIVE_CEILING = 32
-ENV_MAX_Q = "AC_MAX_Q_EXHAUSTIVE"
-
 
 @dataclass
 class SearchResult:
@@ -53,7 +55,6 @@ class SearchResult:
     size: int
     witness: list[int]
     is_ac: bool
-    is_minimal: bool | None = None
     seed: int | None = None
     restarts: int = 1
     step_log: list[tuple[int, int, int]] = field(default_factory=list)
@@ -237,9 +238,11 @@ def _cross_ratio(ctx: FieldCtx):
     [s,t] = u_s*v_t - u_t*v_s is the determinant of the homogeneous pairs
     t -> (t, 1) and inf -> (1, 0), held as one (q+1) x (q+1) table; the
     returned function maps broadcastable code arrays t, x, y, z to
-    [t,x]*[y,z] / ([t,z]*[y,x]), with a zero denominator giving inf."""
+    [t,x]*[y,z] / ([t,z]*[y,x]), with a zero denominator giving inf.  The
+    tables, and so the images, use the smallest unsigned dtype holding q."""
     q = ctx.q
-    add, mul, neg, inv = field_tables(ctx)
+    dtype = np.min_scalar_type(q)
+    add, mul, neg, inv = (table.astype(dtype) for table in field_tables(ctx))
     u = np.append(np.arange(q), 1)
     v = np.append(np.ones(q, dtype=np.int64), 0)
     det = add[mul[u[:, None], v], neg[mul[u, v[:, None]]]]
@@ -247,7 +250,7 @@ def _cross_ratio(ctx: FieldCtx):
     def cross(t, x, y, z):
         num = mul[det[t, x], det[y, z]]
         den = mul[det[t, z], det[y, x]]
-        return np.where(den == 0, q, mul[num, inv[den]])
+        return np.where(den == 0, dtype.type(q), mul[num, inv[den]])
 
     return cross
 
@@ -260,10 +263,9 @@ def _canonical_bases(model: ConicModel, base_size: int):
     row is dropped as soon as one image is lexicographically smaller."""
     q, k = model.q, base_size
     cross = _cross_ratio(model.ctx)
-    count = math.comb(q - 2, k - 3)
     rows = ((0, 1, *extra, q) for extra in combinations(range(2, q), k - 3))
-    bases = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
-                        count=count * k).reshape(count, k)
+    bases = np.fromiter(chain.from_iterable(rows), dtype=np.min_scalar_type(q),
+                        count=math.comb(q - 2, k - 3) * k).reshape(-1, k)
     for x, y, z in permutations(range(k), 3):
         img = np.sort(cross(bases, bases[:, [x]], bases[:, [y]], bases[:, [z]]), axis=1)
         first = (img != bases).argmax(axis=1)[:, None]
@@ -272,31 +274,15 @@ def _canonical_bases(model: ConicModel, base_size: int):
     yield from map(tuple, bases.tolist())
 
 
-def check_exhaustive_args(q: int, base_size: int = 6, ceiling: int | None = None,
-                          force: bool = False) -> None:
-    """Raise ValueError unless `exhaustive_min_ac` may run: base_size >= 3,
-    and q within the ceiling (default from AC_MAX_Q_EXHAUSTIVE, else 32)
-    unless forced."""
-    if base_size < 3:
-        raise ValueError(f"base size {base_size} < 3: a base holds 0, 1 and inf")
-    if ceiling is None:
-        ceiling = int(os.environ.get(ENV_MAX_Q, DEFAULT_EXHAUSTIVE_CEILING))
-    if q > ceiling and not force:
-        raise ValueError(f"q={q} above exhaustive ceiling {ceiling}; "
-                         f"use --force (force=True) or set {ENV_MAX_Q}")
-
-
-def exhaustive_min_ac(model: ConicModel, base_size: int = 6,
-                      ceiling: int | None = None, force: bool = False):
+def exhaustive_min_ac(model: ConicModel):
     """Exact minimum AC-subset size t(q) with a witness.
 
-    Enumerates base subsets of size base_size up to projective equivalence
-    and extends each in all ways, keeping only candidates smaller than the
-    current best.  A randomized-greedy run seeds the initial upper bound
-    (pruning only; exactness is unaffected)."""
+    q <= 7 is enumerated by size.  Above, a randomized-greedy run of size g
+    seeds the upper bound and fixes the base size k = min(max(3, g - 4), 10).
+    Every AC-subset of size s < k is equivalent to a canonical s-base, and
+    every larger one to a superset of a canonical k-base, which is extended
+    in all ways while smaller than the current best."""
     q = model.q
-    check_exhaustive_args(q, base_size, ceiling, force)
-
     params = model.params
     full = model.full_mask
     qm1 = q - 1
@@ -309,25 +295,28 @@ def exhaustive_min_ac(model: ConicModel, base_size: int = 6,
             mask |= pair[t][u]
         return mask
 
-    # tiny fields: direct enumeration by subset size
-    if q + 1 <= base_size + 2:
-        for s in range(3, q + 1):
-            for comb in combinations(params, s):
-                if cover(comb) == full:
-                    return s, list(comb)
-        raise AssertionError("full conic minus one point must be AC")
+    def smallest_ac(sizes, subsets):  # least s in sizes with an AC member of subsets(s)
+        for s in sizes:
+            if math.comb(s, 2) * qm1 < model.m_size:
+                continue  # s points cover at most C(s,2)*(q-1) M-points
+            for sub in subsets(s):
+                if cover(sub) == full:
+                    return s, list(sub)
+        return None
+
+    if q <= 7:  # tiny fields: direct enumeration by subset size
+        return smallest_ac(range(3, q + 1), lambda s: combinations(params, s))
 
     start = randomized_greedy(model, seed=0, restarts=20)
     best_size = start.size
     best_witness = list(start.witness)
-
-    # sizes below the base size (only possible while C(s,2)*(q-1) >= |M_q|)
-    for s in range(3, base_size):
-        if math.comb(s, 2) * qm1 < model.m_size:
-            continue
-        for comb in combinations(params, s):
-            if cover(comb) == full:
-                return s, list(comb)
+    # g - 4 was the fastest, or within noise of it, at q = 13..29 among base
+    # sizes 4..10 (q=27, 2 vCPUs: 10 took 3.5 s, 9 1.2 s, 8 2.2 s, 6 4.8 s).  There are C(q-2, k-3)
+    # candidate bases: at q=32 size 10 runs the whole search in 64 s and 156
+    # MB, while 11 spends 30 s and 421 MB on the bases alone and 9 takes 127 s.
+    base_size = min(max(3, best_size - 4), 10)
+    if smaller := smallest_ac(range(3, base_size), lambda s: _canonical_bases(model, s)):
+        return smaller
 
     def extend(subset, covered, cand_from):
         nonlocal best_size, best_witness

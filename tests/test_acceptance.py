@@ -15,8 +15,8 @@ from conicac.search import (CoverageState, coverage_mask, exhaustive_min_ac,
 from conicac.tables import (EXACT_T, KNOWN_TBAR_SAMPLE, embedded_table2_rows,
                             verify_rows)
 
-EXACT_FAST_QS = (5, 7, 8, 9, 11, 13)   # the remaining q <= 32 need --force
-                                       # and an hours-scale budget
+EXACT_FAST_QS = (5, 7, 8, 9, 11, 13)   # the rest of EXACT_T takes seconds to
+                                       # minutes (see README), so it is left out
 GREEDY_LARGE = {49: 18, 64: 22, 81: 25, 121: 33, 169: 41}
 
 P0_DEFAULT = [757, 1399, 2129, 2887, 3623, 4621, 5417, 6247, 7079, 7919,

@@ -18,7 +18,8 @@ def test_exact_command(capsys):
 
 
 # `ac exact q` stdout for every prime power 5 <= q <= 25, recorded with the
-# scalar Moebius canonicaliser; the enumeration must reproduce it byte for byte.
+# scalar Moebius canonicaliser, and for q=27, recorded with the cross-ratio
+# canonicaliser at base size 6; the search must reproduce it byte for byte.
 EXACT_STDOUT = {
     5: "q=5 t=5 witness=0,1,2,3,4",
     7: "q=7 t=6 witness=0,1,2,3,4,5",
@@ -31,12 +32,12 @@ EXACT_STDOUT = {
     19: "q=19 t=11 witness=13,17,9,12,6,7,2,5,inf,4,14",
     23: "q=23 t=12 witness=13,17,9,12,6,15,1,inf,4,11,16,0",
     25: "q=25 t=12 witness=24,1,17,10,13,3,15,21,8,7,0,20",
+    27: "q=27 t=13 witness=24,1,17,10,13,25,8,5,15,11,3,26,2",
 }
 
 
 @pytest.mark.parametrize("q", sorted(EXACT_STDOUT))
-def test_exact_stdout_pinned(capsys, monkeypatch, q):
-    monkeypatch.delenv("AC_MAX_Q_EXHAUSTIVE", raising=False)
+def test_exact_stdout_pinned(capsys, q):
     code, out, err = run(capsys, "exact", str(q))
     assert code == cli.EXIT_OK and err == ""
     assert out == EXACT_STDOUT[q] + "\n"
@@ -46,17 +47,17 @@ def test_exact_ceiling_checked_before_model_build(capsys, monkeypatch):
     def no_build(q):
         raise AssertionError("model built for a refused q")
 
-    monkeypatch.delenv("AC_MAX_Q_EXHAUSTIVE", raising=False)
     monkeypatch.setattr(cli, "build_conic_model", no_build)
     code, out, err = run(capsys, "exact", "64")
     assert code == cli.EXIT_USAGE and out == ""
     assert "ceiling" in err and "Traceback" not in err
 
 
-def test_exact_rejects_small_base_size(capsys):
-    code, out, err = run(capsys, "exact", "11", "--base-size", "2")
-    assert code == cli.EXIT_USAGE and out == ""
-    assert err.startswith("error: base size 2")
+def test_exact_force_passes_the_ceiling(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "exhaustive_min_ac", lambda model: (3, [0, 1, model.inf]))
+    code, out, err = run(capsys, "exact", "37", "--force")
+    assert code == cli.EXIT_OK and err == ""
+    assert out == "q=37 t=3 witness=0,1,inf\n"
 
 
 def test_exact_rejects_bad_q(capsys):
@@ -211,6 +212,17 @@ def test_nrc_usage_errors(capsys):
     assert code == cli.EXIT_USAGE and "prime power" in err
     code, _, err = run(capsys, "nrc", "--complete", "31", "8")
     assert code == cli.EXIT_USAGE and "too large" in err
+
+
+@pytest.mark.parametrize("q, n", [(1000003, 2), (10007, 10000)])
+def test_nrc_complete_refuses_oversized_instances_before_building(capsys, monkeypatch, q, n):
+    def no_field(q):
+        raise AssertionError("field built for a refused instance")
+
+    monkeypatch.setattr(cli, "field_for_order", no_field)
+    code, out, err = run(capsys, "nrc", "--complete", str(q), str(n))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "instance too large" in err and "Traceback" not in err
 
 
 def test_unknown_subcommand(capsys):

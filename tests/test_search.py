@@ -15,9 +15,8 @@ from conicac import search
 from conicac.geometry import ConicModel, build_conic_model
 from conicac.gf import factor_prime_power, field_for_order
 from conicac.search import (CoverageState, _canonical_bases, _cross_ratio,
-                            check_exhaustive_args, coverage_mask,
-                            exhaustive_min_ac, greedy_search, is_ac_subset,
-                            is_minimal_ac, randomized_greedy)
+                            coverage_mask, exhaustive_min_ac, greedy_search,
+                            is_ac_subset, is_minimal_ac, randomized_greedy)
 from conicac.tables import EXACT_T
 
 ORACLE_QS = (5, 7, 8, 9, 11, 13)
@@ -363,12 +362,16 @@ def test_exhaustive_never_above_randomized(q):
     assert size <= rand.size
 
 
-def test_exhaustive_ceiling_enforced():
-    model = build_conic_model(13)
-    with pytest.raises(ValueError):
-        exhaustive_min_ac(model, ceiling=11)
-    size, _ = exhaustive_min_ac(model, ceiling=11, force=True)
-    assert size == EXACT_T[13]
+@pytest.mark.parametrize("q", (13, 16))
+def test_exhaustive_finds_sizes_below_the_base_on_canonical_bases(monkeypatch, q):
+    # a seed of size q (the conic minus one point) makes the base size
+    # min(q - 4, 10) > t(q), so t(q) is found among the canonical t(q)-bases
+    model = build_conic_model(q)
+    seed = search.SearchResult(q=q, size=q, witness=model.params[:-1], is_ac=True)
+    monkeypatch.setattr(search, "randomized_greedy", lambda *args, **kwargs: seed)
+    size, witness = exhaustive_min_ac(model)
+    assert size == EXACT_T[q] and is_minimal_ac(model, witness)
+    assert witness in [list(b) for b in _canonical_bases(model, size)]
 
 
 def test_witness_line_format():
@@ -409,16 +412,16 @@ def _mobius_apply(ctx, mat, t, inf):
 def oracle_canonical_bases(model, base_size):
     """Scalar reference: bases through {0, 1, inf} that equal their minimal
     sorted image over the Moebius maps sending an ordered triple of the
-    base to (0, 1, inf)."""
+    base to (0, 1, inf).  The triple (0, 1, inf) maps the base to itself, so
+    that holds exactly when no image is smaller."""
     ctx, inf = model.ctx, model.inf
     rest = [t for t in model.params if t not in (0, 1, inf)]
     out = []
     for extra in combinations(rest, base_size - 3):
         base = tuple(sorted((0, 1, inf) + extra))
-        best = min(tuple(sorted(_mobius_apply(ctx, _mobius_matrix(ctx, x, y, z, inf), t, inf)
-                                for t in base))
-                   for x, y, z in permutations(base, 3))
-        if best == base:
+        if not any(tuple(sorted(_mobius_apply(ctx, _mobius_matrix(ctx, x, y, z, inf), t, inf)
+                                for t in base)) < base
+                   for x, y, z in permutations(base, 3)):
             out.append(base)
     return out
 
@@ -429,17 +432,29 @@ def test_canonical_bases_match_scalar_moebius_oracle(q):
     assert list(_canonical_bases(model, 6)) == oracle_canonical_bases(model, 6)
 
 
+@pytest.mark.parametrize("q", [q for q in MODEL_QS if 11 <= q <= 13])
+def test_canonical_8_bases_match_scalar_moebius_oracle(q):
+    # 8-point bases, the size `exhaustive_min_ac` uses at q = 23 and 25
+    model = build_conic_model(q)
+    assert list(_canonical_bases(model, 8)) == oracle_canonical_bases(model, 8)
+
+
 # Number of canonical 6-point bases, recorded with the scalar canonicaliser.
 CANONICAL_BASE_COUNTS = {7: 1, 8: 1, 9: 2, 11: 4, 13: 5, 16: 8, 17: 10, 19: 13,
                          23: 22, 25: 28, 27: 34, 29: 42, 31: 51, 32: 53}
+# Counts at the base sizes `exhaustive_min_ac` picks for q = 23, 25, 27,
+# recorded with the np.intp-coded canonicaliser.
+RULE_BASE_COUNTS = {(23, 8): 83, (25, 8): 131, (27, 9): 382}
 
 
 def test_canonical_base_counts_pinned():
     assert {q: len(list(_canonical_bases(build_conic_model(q), 6)))
             for q in CANONICAL_BASE_COUNTS} == CANONICAL_BASE_COUNTS
+    assert {(q, k): len(list(_canonical_bases(build_conic_model(q), k)))
+            for q, k in RULE_BASE_COUNTS} == RULE_BASE_COUNTS
 
 
-@pytest.mark.parametrize("q", MODEL_QS)
+@pytest.mark.parametrize("q", MODEL_QS + [256])  # 256: inf needs uint16
 def test_cross_ratio_is_the_moebius_map_to_0_1_inf(q):
     cross = _cross_ratio(field_for_order(q))
     everything = list(range(q + 1))
@@ -449,10 +464,3 @@ def test_cross_ratio_is_the_moebius_map_to_0_1_inf(q):
         images = cross(np.arange(q + 1), x, y, z)
         assert [images[x], images[y], images[z]] == [0, 1, q]
         assert sorted(images.tolist()) == everything
-
-
-def test_exhaustive_rejects_small_base_size():
-    with pytest.raises(ValueError, match="base size"):
-        check_exhaustive_args(11, base_size=2)
-    with pytest.raises(ValueError, match="base size"):
-        exhaustive_min_ac(build_conic_model(11), base_size=2)
