@@ -23,10 +23,14 @@ def is_prime_power(q: int) -> bool:
     return factor_prime_power(q) is not None
 
 
+def _q1(q: int, pm) -> bool:
+    """`in_q1` for a q already factored: pm = factor_prime_power(q)."""
+    return pm is not None and pm[1] >= 2 and 8 <= q <= 139129
+
+
 def in_q1(q: int) -> bool:
     """Non-prime prime powers 8 <= q <= 139129."""
-    pm = factor_prime_power(q)
-    return pm is not None and pm[1] >= 2 and 8 <= q <= 139129
+    return _q1(q, factor_prime_power(q))
 
 
 # --- implicit bound A -----------------------------------------------------
@@ -153,7 +157,8 @@ def theta(q: int) -> float:
     """Piecewise best bound Theta(q); defined for prime powers q >= 5."""
     if q < 5:
         raise ValueError("q must be >= 5")
-    if not is_prime_power(q):
+    pm = factor_prime_power(q)
+    if pm is None:
         raise ValueError(f"q={q} is not a prime power")
     s = sqrt_qlnq(q)
     candidates = [min(1.835 * s, bound_c_phi(q))]
@@ -161,7 +166,7 @@ def theta(q: int) -> float:
         candidates.append(1.62 * s)
     if 17041 < q <= 33013:
         candidates.append(1.635 * s)
-    if in_q1(q):
+    if _q1(q, pm):
         candidates.append(1.674 * s)
     return min(candidates)
 
@@ -173,7 +178,8 @@ def theorem41_bound(q: int):
     """(coefficient, bound) from the computer-search ranges; the range
     conditions are implemented literally as printed, including the stray
     single-q memberships for q=11 and q=7."""
-    if not is_prime_power(q):
+    pm = factor_prime_power(q)
+    if pm is None:
         raise ValueError(f"q={q} is not a prime power")
     coefs = []
     if 8 <= q <= 887 and q != 11:
@@ -188,7 +194,7 @@ def theorem41_bound(q: int):
         coefs.append(1.620)
     if 17041 < q <= 33013 or q == 7:
         coefs.append(1.635)
-    if in_q1(q):
+    if _q1(q, pm):
         coefs.append(1.674)
     if q in _THEOREM41_EXTRA_Q:
         coefs.append(1.686)
@@ -208,7 +214,7 @@ def evaluate_bound(name: str, q: int):
     if name == "A":
         if (q - 5) ** 2 < 1:  # U0 = (q-5)^2 leaves nothing to cover
             return None
-        tr = bound_a_trace(q, 5, (q - 5) ** 2)
+        tr = bound_a_trace(q)
         return float(tr.bound) if tr.w_fin is not None else None
     if name == "B":
         res = bound_b(q)
@@ -232,8 +238,8 @@ def curve_emit(q_grid, names):
     return rows
 
 
-def prime_powers_up_to(limit: int, lo: int = 5):
-    """All prime powers in [lo, limit], ascending (simple sieve)."""
+def prime_powers_up_to(limit: int):
+    """All prime powers in [5, limit], ascending (simple sieve)."""
     n = limit + 1
     flags = bytearray([1]) * n
     flags[0:2] = b"\x00\x00"
@@ -245,7 +251,7 @@ def prime_powers_up_to(limit: int, lo: int = 5):
         if flags[p]:
             pk = p
             while pk <= limit:
-                if pk >= lo:
+                if pk >= 5:
                     out.append(pk)
                 pk *= p
     return sorted(out)

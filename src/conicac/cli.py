@@ -76,14 +76,9 @@ def cmd_search(args) -> int:
 
 
 def _parse_grid(args):
-    if args.q is not None:
-        grid = [args.q]
-    elif args.qlist:
-        grid = [int(x) for x in args.qlist.split(",")]
-    elif args.grid:
+    if args.grid:
         return bnd.prime_powers_up_to(FIG_GRIDS[args.grid])
-    else:
-        raise CliError("one of --q, --qlist, --grid is required")
+    grid = [int(x) for x in args.qlist.split(",")]
     for q in grid:
         if q < 5 or not bnd.is_prime_power(q):
             raise CliError(f"q={q} is not a prime power >= 5")
@@ -128,21 +123,21 @@ def cmd_nrc(args) -> int:
         entry = p0_solve(args.p0, c_override=args.c)
         print(f"h={entry.h} c={entry.c} p0={entry.p0}")
         return EXIT_OK
+    if args.c is not None:
+        raise CliError("--c applies only to --p0")
     if args.range is not None:
         q = args.range
         rng = corollary11_range(q)
         print(f"q={q} N-range={'empty' if rng is None else f'[{rng[0]},{rng[1]}]'}")
         return EXIT_OK
-    if args.complete:
-        q, n_dim = args.complete
-        check_completeness_size(q, n_dim)
-        ext = completeness_brute(nrc_points(field_for_order(q), n_dim))
-        if not ext:
-            print(f"q={q} N={n_dim}: complete")
-        else:
-            print(f"q={q} N={n_dim}: extendable by {len(ext)} point(s)")
-        return EXIT_OK
-    raise CliError("one of --p0, --range, --complete is required")
+    q, n_dim = args.complete
+    check_completeness_size(q, n_dim)
+    ext = completeness_brute(nrc_points(field_for_order(q), n_dim))
+    if not ext:
+        print(f"q={q} N={n_dim}: complete")
+    else:
+        print(f"q={q} N={n_dim}: extendable by {len(ext)} point(s)")
+    return EXIT_OK
 
 
 def _version() -> str:
@@ -169,14 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--prob", type=float, default=0.1)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, >= 1")
     p.add_argument("--record", metavar="PATH", help="write a JSON run record")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bounds", help="emit bound curves as CSV")
-    p.add_argument("--q", type=int)
-    p.add_argument("--qlist", help="comma-separated q values")
-    p.add_argument("--grid", choices=sorted(FIG_GRIDS))
+    grid = p.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--qlist", help="comma-separated q values")
+    grid.add_argument("--grid", choices=sorted(FIG_GRIDS))
     p.add_argument("--names", default="A,B,C,theta")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_bounds)
@@ -187,13 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("nrc", help="normal rational curve completeness tools")
-    p.add_argument("--p0", type=int, metavar="H",
-                   help="smallest odd prime threshold p0(h)")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--p0", type=int, metavar="H",
+                      help="smallest odd prime threshold p0(h)")
+    mode.add_argument("--range", type=int, metavar="Q",
+                      help="guaranteed-complete N-range for q")
+    mode.add_argument("--complete", type=int, nargs=2, metavar=("Q", "N"),
+                      help="brute-force completeness check of the NRC in PG(N,q)")
     p.add_argument("--c", type=float, help="override the coefficient for --p0")
-    p.add_argument("--range", type=int, metavar="Q",
-                   help="guaranteed-complete N-range for q")
-    p.add_argument("--complete", type=int, nargs=2, metavar=("Q", "N"),
-                   help="brute-force completeness check of the NRC in PG(N,q)")
     p.set_defaults(func=cmd_nrc)
     return ap
 

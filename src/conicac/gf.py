@@ -185,9 +185,6 @@ class FieldCtx:
             return 0 if e else 1
         return self._exp[self._log[a] * e % self._n]
 
-    def elements(self):
-        return range(self.q)
-
     def __repr__(self):
         return f"FieldCtx(p={self.p}, m={self.m})"
 

@@ -13,7 +13,9 @@ completeness check builds every hyperplane from this product.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -72,25 +74,27 @@ def _p0_margin(p: int, h: int, c: float) -> float:
 
 
 # The published thresholds carry 3-4 significant digits; two of them sit a
-# few parts in 10^5 below the exact binary64 crossing.  The default relative
-# slack reproduces the published tables; rel_tol=0 gives the strict
-# inequality.
+# few parts in 10^5 below the exact binary64 crossing.  This relative slack
+# on the margin reproduces the published tables.
 P0_REL_TOL = 8e-5
+# primes after p0 that must also clear the threshold: the correction terms
+# can be locally non-monotone near the crossing
+P0_PERSISTENCE = 10
 
 
-def p0_solve(h: int, c_override: float | None = None,
-             persistence: int = 10, rel_tol: float = P0_REL_TOL) -> P0Entry:
-    """Smallest odd prime where sqrt(p) exceeds the threshold, and keeps
-    exceeding it for the next `persistence` primes (the correction terms can
-    be locally non-monotone near the crossing)."""
+def p0_solve(h: int, c_override: float | None = None) -> P0Entry:
+    """Smallest odd prime where sqrt(p) exceeds the threshold, up to
+    P0_REL_TOL, and keeps exceeding it for the next P0_PERSISTENCE primes."""
     if h < 1:
         raise ValueError("h must be >= 1")
     c = c_override if c_override is not None else _c_schedule(h)
+    if not (math.isfinite(c) and c > 0):  # nan or inf never crosses, c <= 0 at p=3
+        raise ValueError(f"c={c} must be finite and > 0")
     window: list[int] = []
     for p in _odd_primes():
-        if _p0_margin(p, h, c) > -rel_tol * math.sqrt(p):
+        if _p0_margin(p, h, c) > -P0_REL_TOL * math.sqrt(p):
             window.append(p)
-            if len(window) == persistence + 1:
+            if len(window) == P0_PERSISTENCE + 1:
                 p0 = window[0]
                 return P0Entry(h=h, c=c, p0=p0, check_value=_p0_margin(p0, h, c))
         else:
@@ -99,24 +103,33 @@ def p0_solve(h: int, c_override: float | None = None,
 
 # --- normal rational curves ----------------------------------------------
 
-@dataclass
-class NrcArc:
-    n_dim: int
-    field: FieldCtx
-    points: list[tuple[int, ...]]  # canonical, q+1 of them
-
-
 def _check_dimension(q: int, n_dim: int) -> None:
     if not 2 <= n_dim <= q - 2:
         raise ValueError(f"need 2 <= N <= q-2, got N={n_dim}, q={q}")
 
 
+@dataclass
+class NrcArc:
+    """The normal rational curve in PG(N,q), N = n_dim, q = field.q."""
+    n_dim: int
+    field: FieldCtx
+
+    def __post_init__(self):
+        _check_dimension(self.field.q, self.n_dim)
+
+    @cached_property
+    def points(self) -> list[tuple[int, ...]]:
+        """The q+1 canonical points: (1, t, ..., t^N) for t = 0..q-1, then
+        (0, ..., 0, 1) for inf."""
+        ctx, n_dim = self.field, self.n_dim
+        pts = [tuple(ctx.pow(t, k) for k in range(n_dim + 1)) for t in range(ctx.q)]
+        pts.append((0,) * n_dim + (1,))
+        return pts
+
+
 def nrc_points(ctx: FieldCtx, n_dim: int) -> NrcArc:
-    q = ctx.q
-    _check_dimension(q, n_dim)
-    pts = [tuple(ctx.pow(t, k) for k in range(n_dim + 1)) for t in range(q)]
-    pts.append((0,) * n_dim + (1,))
-    return NrcArc(n_dim=n_dim, field=ctx, points=pts)
+    """The normal rational curve in PG(N,q); ValueError unless 2 <= N <= q-2."""
+    return NrcArc(n_dim=n_dim, field=ctx)
 
 
 def _det(ctx: FieldCtx, rows) -> int:
@@ -152,11 +165,14 @@ def is_arc(points, n_dim: int, ctx: FieldCtx) -> bool:
     return True
 
 
-def gdrs_generator(ctx: FieldCtx, n_dim: int, alphas, vs, v_last: int,
-                   minor_sample: int = 2000, rng_seed: int = 0):
+GDRS_MINOR_SAMPLE = 2000  # minors sampled by gdrs_generator above q = 9
+GDRS_RNG_SEED = 0
+
+
+def gdrs_generator(ctx: FieldCtx, n_dim: int, alphas, vs, v_last: int):
     """(N+1) x (q+1) GDRS generator matrix as a list of column tuples, plus
     an MDS flag: every (N+1)-minor nonzero, checked exhaustively for q <= 9
-    and on a random sample of minors above."""
+    and on GDRS_MINOR_SAMPLE seeded random minors above."""
     q = ctx.q
     if len(set(alphas)) != len(alphas) or len(alphas) != q:
         raise ValueError("alphas must be q pairwise distinct elements")
@@ -166,18 +182,10 @@ def gdrs_generator(ctx: FieldCtx, n_dim: int, alphas, vs, v_last: int,
             for a, v in zip(alphas, vs)]
     cols.append((0,) * n_dim + (v_last,))
     if q <= 9:
-        is_mds = is_arc(cols, n_dim, ctx)
-    else:
-        import random
-        rng = random.Random(rng_seed)
-        all_minors = math.comb(q + 1, n_dim + 1)
-        is_mds = True
-        for _ in range(min(minor_sample, all_minors)):
-            sub = rng.sample(cols, n_dim + 1)
-            if _det(ctx, sub) == 0:
-                is_mds = False
-                break
-    return cols, is_mds
+        return cols, is_arc(cols, n_dim, ctx)
+    rng = random.Random(GDRS_RNG_SEED)
+    samples = min(GDRS_MINOR_SAMPLE, math.comb(q + 1, n_dim + 1))
+    return cols, all(_det(ctx, rng.sample(cols, n_dim + 1)) for _ in range(samples))
 
 
 # --- brute-force completeness --------------------------------------------
@@ -219,8 +227,6 @@ def completeness_brute(arc: NrcArc):
     ctx, n_dim = arc.field, arc.n_dim
     q = ctx.q
     check_completeness_size(q, n_dim)
-    if arc.points != nrc_points(ctx, n_dim).points:
-        raise ValueError("completeness_brute needs the points of nrc_points(field, N), in order")
     pts = np.asfortranarray(_canonical_points_array(ctx, n_dim))  # contiguous columns
     add, mul, neg, _ = field_tables(ctx)
     # tables in the point dtype keep every per-point temporary as narrow as pts

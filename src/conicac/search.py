@@ -37,7 +37,6 @@ for a greedy seed of size g, and of each size below k.
 from __future__ import annotations
 
 import math
-import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -55,8 +54,6 @@ class SearchResult:
     size: int
     witness: list[int]
     is_ac: bool
-    seed: int | None = None
-    restarts: int = 1
     step_log: list[tuple[int, int, int]] = field(default_factory=list)
 
     def witness_line(self, model: ConicModel) -> str:
@@ -152,7 +149,7 @@ def is_minimal_ac(model: ConicModel, subset) -> bool:
     return True
 
 
-def _greedy_run(model: ConicModel, start=(), rng: random.Random | None = None,
+def _greedy_run(model: ConicModel, rng: random.Random | None = None,
                 random_step_prob: float = 0.0):
     """One greedy pass.  With rng=None ties break on the smallest parameter
     code; otherwise ties break uniformly at random and each step is fully
@@ -160,25 +157,20 @@ def _greedy_run(model: ConicModel, start=(), rng: random.Random | None = None,
     state = CoverageState(model)
     step_log: list[tuple[int, int, int]] = []
 
-    def commit(t):
-        delta = state.add(t)
-        step_log.append((len(state.chosen), delta, state.uncovered_count))
-
-    for t in start:
-        commit(t)
-
     while state.uncovered_count:
         if rng is not None and random_step_prob > 0 and rng.random() < random_step_prob:
-            commit(rng.choice(state.unchosen()))
-            continue
-        best = state.best()
-        commit(best[0] if rng is None else rng.choice(best))
+            t = rng.choice(state.unchosen())
+        else:
+            best = state.best()
+            t = best[0] if rng is None else rng.choice(best)
+        delta = state.add(t)
+        step_log.append((len(state.chosen), delta, state.uncovered_count))
 
     return state.chosen, step_log
 
 
-def greedy_search(model: ConicModel, start=()) -> SearchResult:
-    chosen, step_log = _greedy_run(model, start=start)
+def greedy_search(model: ConicModel) -> SearchResult:
+    chosen, step_log = _greedy_run(model)
     return SearchResult(q=model.q, size=len(chosen), witness=chosen,
                         is_ac=is_ac_subset(model, chosen), step_log=step_log)
 
@@ -212,8 +204,8 @@ def randomized_greedy(model: ConicModel, seed: int, restarts: int,
         raise ValueError("restarts must be >= 1")
     if not 0 <= random_step_prob <= 1:  # also rejects nan
         raise ValueError(f"random_step_prob={random_step_prob} is not in [0, 1]")
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
+    if jobs < 1:
+        raise ValueError(f"jobs={jobs} must be >= 1")
     results = []
     if jobs == 1 or restarts == 1:
         results = _run_restart_chunk(model, seed, range(restarts), random_step_prob)
@@ -226,8 +218,7 @@ def randomized_greedy(model: ConicModel, seed: int, restarts: int,
                 results.extend(f.result())
     size, _, chosen, log = min(results, key=lambda r: (r[0], r[1]))
     return SearchResult(q=model.q, size=size, witness=chosen,
-                        is_ac=is_ac_subset(model, chosen), seed=seed,
-                        restarts=restarts, step_log=log)
+                        is_ac=is_ac_subset(model, chosen), step_log=log)
 
 
 # --- exhaustive search ----------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conicac import bounds
 from conicac.bounds import (bound_a_trace, bound_b, bound_c_phi,
                             bound_theorem32, bound_theorem34, curve_emit,
                             default_xi, evaluate_bound, f_q_log, in_q1,
@@ -247,6 +248,21 @@ def test_theta_dominates_exact_minimum():
             assert t < theta(q)
 
 
+@pytest.mark.parametrize("fn", [theta, theorem41_bound])
+def test_theta_and_theorem41_factor_q_once(monkeypatch, fn):
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return factor_prime_power(q)
+
+    monkeypatch.setattr(bounds, "factor_prime_power", counted)
+    for q in (7, 11, 128, 139129):
+        calls.clear()
+        fn(q)
+        assert calls == [q]
+
+
 def test_theorem41_examples():
     assert theorem41_bound(64)[0] == 1.525
     assert theorem41_bound(11)[0] == 1.572
@@ -291,7 +307,7 @@ def test_prime_powers_up_to():
     got = prime_powers_up_to(200)
     want = [q for q in range(5, 201) if factor_prime_power(q)]
     assert got == want
-    assert prime_powers_up_to(32, lo=25) == [25, 27, 29, 31, 32]
+    assert prime_powers_up_to(32)[10:] == [25, 27, 29, 31, 32]
 
 
 def test_prime_power_predicates():

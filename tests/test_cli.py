@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,7 +100,7 @@ def test_search_inf_in_witness(capsys):
 
 
 def test_bounds_command_csv(tmp_path, capsys):
-    code, out, _ = run(capsys, "bounds", "--q", "11", "--names", "A,C")
+    code, out, _ = run(capsys, "bounds", "--qlist", "11", "--names", "A,C")
     assert code == cli.EXIT_OK
     lines = out.strip().splitlines()
     assert lines[0] == "q,bound,value,value_star"
@@ -117,14 +121,14 @@ def test_bounds_skips_infeasible_a_at_q5(capsys):
     code, out, _ = run(capsys, "bounds", "--qlist", "5,7", "--names", "A")
     assert code == cli.EXIT_OK
     assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["7"]
-    code, out, _ = run(capsys, "bounds", "--q", "5")
+    code, out, _ = run(capsys, "bounds", "--qlist", "5")
     assert code == cli.EXIT_OK
     assert "5,A," not in out and out.startswith("q,bound,value,value_star")
 
 
 @pytest.mark.parametrize("argv", [
     ("verify", "{missing}/t.csv"),
-    ("bounds", "--q", "11", "--out", "{missing}/x.csv"),
+    ("bounds", "--qlist", "11", "--out", "{missing}/x.csv"),
     ("search", "7", "--restarts", "2", "--record", "{missing}/r.json"),
 ])
 def test_bad_paths_are_usage_errors(tmp_path, capsys, argv):
@@ -135,7 +139,7 @@ def test_bad_paths_are_usage_errors(tmp_path, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [("--q", "6"), ("--qlist", "7,6"), ("--q", "4")])
+@pytest.mark.parametrize("argv", [("--qlist", "6"), ("--qlist", "7,6"), ("--qlist", "4")])
 def test_bounds_rejects_q_that_is_not_a_prime_power_from_5(tmp_path, capsys, argv):
     code, out, err = run(capsys, "bounds", *argv)
     assert code == cli.EXIT_USAGE and out == ""
@@ -153,13 +157,43 @@ def test_search_rejects_prob_outside_unit_interval(capsys, prob):
 
 
 def test_bounds_rejects_unknown_name(capsys):
-    code, _, err = run(capsys, "bounds", "--q", "11", "--names", "A,Z")
+    code, _, err = run(capsys, "bounds", "--qlist", "11", "--names", "A,Z")
     assert code == cli.EXIT_USAGE and "unknown bound" in err
 
 
 def test_bounds_needs_a_grid(capsys):
     code, _, err = run(capsys, "bounds")
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ("nrc", "--p0", "1", "--complete", "8", "6"),
+    ("nrc", "--range", "25", "--c", "1.6"),
+    ("nrc", "--complete", "5", "2", "--c", "1.6"),
+    ("bounds", "--qlist", "7", "--grid", "fig1"),
+    ("search", "7", "--jobs", "0"),
+    ("search", "7", "--jobs", "-1"),
+    ("nrc", "--p0", "1", "--c", "0"),
+    ("nrc", "--p0", "1", "--c", "-1"),
+])
+def test_conflicting_or_invalid_settings_are_usage_errors(capsys, argv):
+    """Each input is set one way: a second mode, a setting the chosen mode
+    ignores, or a value outside its domain exits 2 before any output."""
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_nrc_p0_rejects_non_finite_c_without_hanging(c):
+    # in a subprocess with a timeout: a p0 search that never crosses never ends
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "conicac.cli", "nrc", "--p0", "1", "--c", c],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == cli.EXIT_USAGE and out.stdout == ""
+    assert out.stderr.startswith("error: c=")
 
 
 def test_verify_embedded(capsys):

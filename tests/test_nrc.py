@@ -157,6 +157,26 @@ def test_gdrs_scaled_columns_stay_mds():
     assert {canon_point(ctx, c) for c in cols} == set(nrc_points(ctx, 2).points)
 
 
+def test_gdrs_sampled_minors_q13():
+    """Above q = 9 the MDS flag comes from sampled minors; the scaled
+    columns are multiples of the NRC points, in order."""
+    ctx = field_for_order(13)
+    vs = [1 + t % 12 for t in range(13)]
+    cols, mds = gdrs_generator(ctx, 3, list(range(13)), vs, 5)
+    assert mds
+    canon = [tuple(ctx.div(x, next(y for y in c if y)) for x in c) for c in cols]
+    assert canon == nrc_points(ctx, 3).points
+
+
+def test_nrc_arc_points_follow_from_field_and_dimension():
+    ctx = field_for_order(7)
+    assert NrcArc(n_dim=2, field=ctx).points == nrc_points(ctx, 2).points
+    assert nrc_points(ctx, 3).points[:3] == [(1, 0, 0, 0), (1, 1, 1, 1), (1, 2, 4, 1)]
+    assert nrc_points(ctx, 3).points[-1] == (0, 0, 0, 1)
+    with pytest.raises(ValueError):
+        NrcArc(n_dim=6, field=ctx)
+
+
 def test_gdrs_input_validation():
     ctx = field_for_order(5)
     with pytest.raises(ValueError):
@@ -206,14 +226,6 @@ def test_completeness_extension_points_pg6_8():
     assert len(ext) == 10
     for P in ext:
         assert P not in arc.points and is_arc(arc.points + [P], 6, ctx)
-
-
-def test_completeness_rejects_other_point_lists():
-    ctx = field_for_order(7)
-    pts = nrc_points(ctx, 2).points
-    for other in (pts[::-1], pts[:-1], pts[:-1] + [(0, 1, 0)]):
-        with pytest.raises(ValueError, match="nrc_points"):
-            completeness_brute(NrcArc(n_dim=2, field=ctx, points=other))
 
 
 @pytest.mark.parametrize("q, n, dtype", [(4, 3, np.uint8), (16, 2, np.uint8),

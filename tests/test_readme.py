@@ -22,8 +22,8 @@ def readme_examples():
     return examples
 
 
-@pytest.mark.parametrize("cmd", ["exact 9", "nrc --p0 1", "nrc --range 25",
-                                 "nrc --complete 8 6"])
+@pytest.mark.parametrize("cmd", ["exact 9", "nrc --p0 1", "nrc --p0 2 --c 1.62",
+                                 "nrc --range 25", "nrc --complete 8 6"])
 def test_readme_example_output(capsys, cmd):
     want = readme_examples()[cmd]
     assert cli.main(cmd.split()) == cli.EXIT_OK
