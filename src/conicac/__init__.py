@@ -2,10 +2,9 @@
 the smallest size, and applications to normal rational curve completeness."""
 
 from .gf import FieldCtx, field_new, field_for_order, factor_prime_power
-from .geometry import ConicModel, build_conic_model, canon_point
+from .geometry import ConicModel, build_conic_model, canon_point, pg_points
 from .search import (CoverageState, SearchResult, exhaustive_min_ac,
-                     greedy_search, is_ac_subset, is_minimal_ac,
-                     randomized_greedy)
+                     is_ac_subset, is_minimal_ac, randomized_greedy)
 from .bounds import (BoundTrace, bound_a_trace, bound_b, bound_c_phi,
                      bound_theorem32, bound_theorem34, curve_emit, f_q_log,
                      theorem41_bound, theta)
@@ -14,9 +13,8 @@ from .nrc import (NrcArc, P0Entry, completeness_brute, corollary11_range,
 
 __all__ = [
     "FieldCtx", "field_new", "field_for_order", "factor_prime_power",
-    "ConicModel", "build_conic_model", "canon_point",
-    "CoverageState", "SearchResult", "exhaustive_min_ac", "greedy_search",
-    "is_ac_subset", "is_minimal_ac", "randomized_greedy",
+    "ConicModel", "build_conic_model", "canon_point", "pg_points",
+    "CoverageState", "SearchResult", "exhaustive_min_ac", "is_ac_subset", "is_minimal_ac", "randomized_greedy",
     "BoundTrace", "bound_a_trace", "bound_b", "bound_c_phi",
     "bound_theorem32", "bound_theorem34", "curve_emit", "f_q_log",
     "theorem41_bound", "theta",

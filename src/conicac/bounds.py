@@ -38,8 +38,6 @@ def in_q1(q: int) -> bool:
 @dataclass
 class BoundTrace:
     q: int
-    w0: int
-    u0: int
     steps: list[tuple[int, int]]  # (w, U_w), exact integers
     w_fin: int | None
     feasible: bool
@@ -53,26 +51,21 @@ class BoundTrace:
         return None if self.w_fin is None else self.bound / sqrt_qlnq(self.q)
 
 
-def bound_a_trace(q: int, w0: int = 5, u0: int | None = None) -> BoundTrace:
-    """Iterate U_{w+1} = U_w - ceil((w-2) U_w / (q+1-w)) exactly until the
-    uncovered bound hits zero; t(q) <= w_fin + 1 when w_fin < (q+3)/2."""
-    if u0 is None:
-        u0 = (q - w0) ** 2
-    if w0 < 2:
-        raise ValueError("w0 must be >= 2")
-    if u0 < 1 or u0 > q * q:
-        raise ValueError("need 1 <= U0 <= q^2")
-    steps = [(w0, u0)]
-    w, u = w0, u0
+def bound_a_trace(q: int) -> BoundTrace:
+    """Iterate U_{w+1} = U_w - ceil((w-2) U_w / (q+1-w)) exactly from
+    U_5 = (q-5)^2 until U hits zero, at the latest in the step at w = q;
+    t(q) <= w_fin + 1 when w_fin < (q+3)/2.  At q = 5, U_5 = 0: no bound."""
+    if q < 5:
+        raise ValueError("q must be >= 5")
+    w, u = 5, (q - 5) ** 2
+    steps = [(w, u)]
+    if u == 0:
+        return BoundTrace(q, steps, w_fin=None, feasible=False)
     while u > 0:
-        if q + 1 - w < 1:  # denominator exhausted: the process never finished
-            return BoundTrace(q, w0, u0, steps, w_fin=None, feasible=False)
         u = u - -((w - 2) * u // -(q + 1 - w))  # u - ceil((w-2)u/(q+1-w)), exact
-        steps.append((w + 1, u))
-        if u <= 0:
-            return BoundTrace(q, w0, u0, steps, w_fin=w, feasible=2 * w < q + 3)
         w += 1
-    raise AssertionError("unreachable: U0 >= 1 enters the loop")
+        steps.append((w, u))
+    return BoundTrace(q, steps, w_fin=w - 1, feasible=2 * (w - 1) < q + 3)
 
 
 # --- truncated process and bound B ---------------------------------------
@@ -212,10 +205,8 @@ BOUND_NAMES = ("A", "B", "C", "theta")
 def evaluate_bound(name: str, q: int):
     """Bound value for one prime power q >= 5, or None where it is infeasible."""
     if name == "A":
-        if (q - 5) ** 2 < 1:  # U0 = (q-5)^2 leaves nothing to cover
-            return None
-        tr = bound_a_trace(q)
-        return float(tr.bound) if tr.w_fin is not None else None
+        bound = bound_a_trace(q).bound
+        return float(bound) if bound is not None else None
     if name == "B":
         res = bound_b(q)
         return res[1] if res is not None else None

@@ -18,7 +18,7 @@ from .gf import field_for_order
 from .geometry import build_conic_model
 from .nrc import (check_completeness_size, completeness_brute, corollary11_range,
                   nrc_points, p0_solve)
-from .search import exhaustive_min_ac, is_ac_subset, randomized_greedy
+from .search import check_greedy_args, exhaustive_min_ac, is_ac_subset, randomized_greedy
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,6 +51,7 @@ def _open_out(path, default=None):
 
 
 def cmd_search(args) -> int:
+    check_greedy_args(args.restarts, args.prob, args.jobs)
     with _open_out(args.record) as record_fh:
         model = build_conic_model(args.q)
         start = time.time()

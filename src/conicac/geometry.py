@@ -3,10 +3,10 @@
 Conic points are indexed by a parameter t in F_q u {inf}; the point at
 infinity is encoded as the code q (one past the field range) so arrays of
 size q+1 stay dense.  Plane points are canonical triples (0,0,1), (0,1,z)
-and (1,y,z).  The off-conic point set M_q is held as three read-only
-coordinate arrays in lexicographic order, built in closed form: (0,1,z),
-without the nucleus (0,1,0) for even q, then (1,y,z) with z != y^2.  The
-order keeps bitset layouts reproducible across runs.
+and (1,y,z); `pg_points` lists them in lexicographic order.  The off-conic
+point set M_q is held as three read-only coordinate arrays, the points of
+that list with x1^2 != x0*x2 except the nucleus (0,1,0) of even q: (0,1,z),
+then (1,y,z) with z != y^2.  The order keeps bitset layouts reproducible.
 
 The bisecant of {t1, t2} is the line [t1*t2, -(t1+t2), 1], and the
 bisecant of {t, inf} is x1 = t*x0.  So an off-conic point P = (x0,x1,x2)
@@ -48,6 +48,25 @@ def canon_point(ctx: FieldCtx, triple) -> tuple[int, int, int]:
     raise ValueError("zero triple has no projective point")
 
 
+def pg_points(ctx: FieldCtx, n_dim: int) -> np.ndarray:
+    """All (q^(N+1)-1)/(q-1) canonical points of PG(N,q) as code rows in
+    lexicographic order, (0,...,0,1) first, in the smallest unsigned dtype
+    that holds q-1 (uint8 for q <= 256)."""
+    q = ctx.q
+    dtype = np.min_scalar_type(q - 1)
+    blocks = []
+    for lead in range(n_dim, -1, -1):
+        free = n_dim - lead
+        count = q ** free
+        block = np.zeros((count, n_dim + 1), dtype=dtype)
+        block[:, lead] = 1
+        idx = np.arange(count)
+        for j in range(free):
+            block[:, lead + 1 + j] = (idx // q ** (free - 1 - j)) % q
+        blocks.append(block)
+    return np.concatenate(blocks, axis=0)
+
+
 def pack_mask(flags) -> int:
     """Python-int bitset with bit i set when flags[i] is true."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
@@ -74,13 +93,12 @@ class ConicModel:
         self.nucleus = (0, 1, 0) if q % 2 == 0 else None
 
         add, mul, neg, inv = field_tables(ctx)
-        y, z = np.divmod(np.arange(q * q), q)
-        off = z != mul[y, y]
-        z0 = np.arange(1 if q % 2 == 0 else 0, q)  # for even q, z = 0 is the nucleus
-        self.m_coords = np.concatenate([
-            np.stack([np.zeros_like(z0), np.ones_like(z0), z0]),  # (0,1,z)
-            np.stack([np.ones_like(y[off]), y[off], z[off]]),     # (1,y,z), z != y^2
-        ], axis=1)
+        # int64: the sentinels below (inf = q, q+1) overflow uint8 rows at q = 256
+        x0, x1, x2 = pg_points(ctx, 2).T.astype(np.int64)
+        off = mul[x1, x1] != mul[x0, x2]
+        if self.nucleus is not None:
+            off &= (x0 != 0) | (x2 != 0)
+        self.m_coords = np.stack([x0[off], x1[off], x2[off]])
         self.m_coords.flags.writeable = False
         self.m_size = self.m_coords.shape[1]
         self.full_mask = (1 << self.m_size) - 1
@@ -136,7 +154,7 @@ class ConicModel:
         return "external" if ctx.pow(disc, (self.q - 1) // 2) == 1 else "internal"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # one partner table alive at a time: it is O(q^3)
 def build_conic_model(q: int) -> ConicModel:
     try:
         ctx = field_for_order(q)

@@ -7,19 +7,20 @@ stands for inf, the point (0, ..., 0, 1).  The hyperplane through the
 points with parameters T is sum a_k x_k = 0, where
 prod_{t in T, t != inf} (x - t) = sum a_k x^k: the polynomial vanishes at
 every finite t in T, and a_N = 0 exactly when inf is in T.  The
-completeness check builds every hyperplane from this product.
+completeness check builds every hyperplane from this product and returns
+the points that extend the arc in lexicographic order.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
+from .geometry import pg_points
 from .gf import FieldCtx, field_tables, is_prime
 from .bounds import theta
 
@@ -165,14 +166,10 @@ def is_arc(points, n_dim: int, ctx: FieldCtx) -> bool:
     return True
 
 
-GDRS_MINOR_SAMPLE = 2000  # minors sampled by gdrs_generator above q = 9
-GDRS_RNG_SEED = 0
-
-
 def gdrs_generator(ctx: FieldCtx, n_dim: int, alphas, vs, v_last: int):
-    """(N+1) x (q+1) GDRS generator matrix as a list of column tuples, plus
-    an MDS flag: every (N+1)-minor nonzero, checked exhaustively for q <= 9
-    and on GDRS_MINOR_SAMPLE seeded random minors above."""
+    """(N+1) x (q+1) GDRS generator matrix as a list of column tuples.  The
+    columns are nonzero multiples of distinct NRC points, so every (N+1)-minor
+    is a nonzero multiple of a Vandermonde determinant and the code is MDS."""
     q = ctx.q
     if len(set(alphas)) != len(alphas) or len(alphas) != q:
         raise ValueError("alphas must be q pairwise distinct elements")
@@ -181,32 +178,10 @@ def gdrs_generator(ctx: FieldCtx, n_dim: int, alphas, vs, v_last: int):
     cols = [tuple(ctx.mul(v, ctx.pow(a, k)) for k in range(n_dim + 1))
             for a, v in zip(alphas, vs)]
     cols.append((0,) * n_dim + (v_last,))
-    if q <= 9:
-        return cols, is_arc(cols, n_dim, ctx)
-    rng = random.Random(GDRS_RNG_SEED)
-    samples = min(GDRS_MINOR_SAMPLE, math.comb(q + 1, n_dim + 1))
-    return cols, all(_det(ctx, rng.sample(cols, n_dim + 1)) for _ in range(samples))
+    return cols
 
 
 # --- brute-force completeness --------------------------------------------
-
-def _canonical_points_array(ctx: FieldCtx, n_dim: int) -> np.ndarray:
-    """All (q^(N+1)-1)/(q-1) canonical points of PG(N,q) as code rows, in
-    the smallest unsigned dtype that holds q-1 (uint8 for q <= 256)."""
-    q = ctx.q
-    dtype = np.min_scalar_type(q - 1)
-    blocks = []
-    for lead in range(n_dim + 1):
-        free = n_dim - lead
-        count = q ** free
-        block = np.zeros((count, n_dim + 1), dtype=dtype)
-        block[:, lead] = 1
-        idx = np.arange(count)
-        for j in range(free):
-            block[:, lead + 1 + j] = (idx // q ** (free - 1 - j)) % q
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
-
 
 def check_completeness_size(q: int, n_dim: int) -> None:
     """Refuse N outside [2, q-2] or q^N > COMPLETENESS_GUARD without a field
@@ -222,12 +197,12 @@ def completeness_brute(arc: NrcArc):
     P extends the arc iff it avoids every hyperplane spanned by N arc
     points.  Each hyperplane comes from the product over its parameters
     (see the module docstring) and is screened only against the points
-    that no earlier hyperplane has hit; the survivors keep the order of
-    `_canonical_points_array`."""
+    that no earlier hyperplane has hit; the survivors come out in the
+    lexicographic order of `pg_points`."""
     ctx, n_dim = arc.field, arc.n_dim
     q = ctx.q
     check_completeness_size(q, n_dim)
-    pts = np.asfortranarray(_canonical_points_array(ctx, n_dim))  # contiguous columns
+    pts = np.asfortranarray(pg_points(ctx, n_dim))  # contiguous columns
     add, mul, neg, _ = field_tables(ctx)
     # tables in the point dtype keep every per-point temporary as narrow as pts
     add, mul = add.astype(pts.dtype), mul.astype(pts.dtype)

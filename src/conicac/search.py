@@ -1,5 +1,5 @@
-"""Construction of AC-subsets: incremental coverage, greedy and randomized
-greedy search, and exhaustive minimum search with minimality verification.
+"""Construction of AC-subsets: incremental coverage, randomized greedy
+search, and exhaustive minimum search.
 
 An M-point P is covered by a chosen set S when sigma_P(s) is in S for some
 s in S (see `geometry`: P lies on the bisecant {s, sigma_P(s)}).  The
@@ -149,30 +149,21 @@ def is_minimal_ac(model: ConicModel, subset) -> bool:
     return True
 
 
-def _greedy_run(model: ConicModel, rng: random.Random | None = None,
-                random_step_prob: float = 0.0):
-    """One greedy pass.  With rng=None ties break on the smallest parameter
-    code; otherwise ties break uniformly at random and each step is fully
-    random with probability random_step_prob."""
+def _greedy_run(model: ConicModel, rng: random.Random, random_step_prob: float):
+    """One greedy pass: ties break uniformly at random, and each step is
+    fully random with probability random_step_prob."""
     state = CoverageState(model)
     step_log: list[tuple[int, int, int]] = []
 
     while state.uncovered_count:
-        if rng is not None and random_step_prob > 0 and rng.random() < random_step_prob:
+        if random_step_prob > 0 and rng.random() < random_step_prob:
             t = rng.choice(state.unchosen())
         else:
-            best = state.best()
-            t = best[0] if rng is None else rng.choice(best)
+            t = rng.choice(state.best())
         delta = state.add(t)
         step_log.append((len(state.chosen), delta, state.uncovered_count))
 
     return state.chosen, step_log
-
-
-def greedy_search(model: ConicModel) -> SearchResult:
-    chosen, step_log = _greedy_run(model)
-    return SearchResult(q=model.q, size=len(chosen), witness=chosen,
-                        is_ac=is_ac_subset(model, chosen), step_log=step_log)
 
 
 def _restart_seed(seed: int, index: int) -> int:
@@ -183,7 +174,7 @@ def _run_restart_chunk(model, seed, indices, prob):
     out = []
     for i in indices:
         rng = random.Random(_restart_seed(seed, i))
-        chosen, log = _greedy_run(model, rng=rng, random_step_prob=prob)
+        chosen, log = _greedy_run(model, rng, prob)
         out.append((len(chosen), i, chosen, log))
     return out
 
@@ -193,6 +184,16 @@ def _pool_restart_chunk(q, seed, indices, prob):
     return _run_restart_chunk(build_conic_model(q), seed, indices, prob)
 
 
+def check_greedy_args(restarts: int, random_step_prob: float, jobs: int) -> None:
+    """ValueError unless restarts >= 1, 0 <= random_step_prob <= 1 and jobs >= 1."""
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if not 0 <= random_step_prob <= 1:  # also rejects nan
+        raise ValueError(f"random_step_prob={random_step_prob} is not in [0, 1]")
+    if jobs < 1:
+        raise ValueError(f"jobs={jobs} must be >= 1")
+
+
 def randomized_greedy(model: ConicModel, seed: int, restarts: int,
                       random_step_prob: float = 0.1, jobs: int = 1) -> SearchResult:
     """Best AC-subset over `restarts` independent randomized greedy passes.
@@ -200,12 +201,7 @@ def randomized_greedy(model: ConicModel, seed: int, restarts: int,
     Deterministic given (seed, restarts, random_step_prob) regardless of
     job count: restart i always uses the stream seeded by (seed, i), and the
     winner is the smallest size with the lowest restart index."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if not 0 <= random_step_prob <= 1:  # also rejects nan
-        raise ValueError(f"random_step_prob={random_step_prob} is not in [0, 1]")
-    if jobs < 1:
-        raise ValueError(f"jobs={jobs} must be >= 1")
+    check_greedy_args(restarts, random_step_prob, jobs)
     results = []
     if jobs == 1 or restarts == 1:
         results = _run_restart_chunk(model, seed, range(restarts), random_step_prob)

@@ -66,7 +66,7 @@ def test_criterion_2_randomized_greedy_quality():
 
 def test_criterion_3_recursion_trace_and_endpoints():
     with criterion(3, "recursion trace and endpoints"):
-        tr = bound_a_trace(11, 5, 36)
+        tr = bound_a_trace(11)
         assert [u for _, u in tr.steps] == [36, 20, 6, 0]
         assert tr.bound == 8
         assert abs(bound_a_trace(55711).star - 1.8341) < 5e-4

@@ -58,22 +58,19 @@ def test_recursion_matches_fraction_oracle(q):
 
 def test_recursion_input_validation():
     with pytest.raises(ValueError):
-        bound_a_trace(11, w0=1)
-    with pytest.raises(ValueError):
-        bound_a_trace(11, u0=0)
-    with pytest.raises(ValueError):
-        bound_a_trace(11, u0=122)
+        bound_a_trace(4)
 
 
 def test_recursion_infeasible_start():
-    tr = bound_a_trace(5, w0=6, u0=10)
+    tr = bound_a_trace(5)  # U_5 = 0: nothing to cover, no bound
+    assert tr.steps == [(5, 0)]
     assert tr.w_fin is None and tr.bound is None and not tr.feasible
 
 
 def test_recursion_dominates_exact_minimum():
     for q, t in EXACT_T.items():
         if q == 5:
-            continue  # U0 = 0 is out of domain
+            continue  # U_5 = 0 gives no bound
         tr = bound_a_trace(q)
         assert tr.bound >= t
 
@@ -284,6 +281,7 @@ def test_theorem41_examples():
 
 def test_evaluate_bound():
     assert evaluate_bound("A", 11) == 8.0
+    assert evaluate_bound("A", 5) is None
     assert evaluate_bound("B", 9) is None
     with pytest.raises(ValueError):
         evaluate_bound("theta", 100)  # not a prime power

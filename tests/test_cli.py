@@ -156,6 +156,18 @@ def test_search_rejects_prob_outside_unit_interval(capsys, prob):
     assert err.startswith("error: random_step_prob")
 
 
+@pytest.mark.parametrize("setting", [("--jobs", "0"), ("--prob", "2"), ("--restarts", "0")])
+def test_search_settings_checked_before_model_build(tmp_path, capsys, monkeypatch, setting):
+    def no_build(q):
+        raise AssertionError("model built for refused settings")
+
+    monkeypatch.setattr(cli, "build_conic_model", no_build)
+    rec = tmp_path / "r.json"
+    code, out, err = run(capsys, "search", "361", *setting, "--record", str(rec))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and not rec.exists()
+
+
 def test_bounds_rejects_unknown_name(capsys):
     code, _, err = run(capsys, "bounds", "--qlist", "11", "--names", "A,Z")
     assert code == cli.EXIT_USAGE and "unknown bound" in err

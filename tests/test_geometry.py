@@ -191,12 +191,19 @@ def test_param_name_roundtrip():
         model.parse_param("9")
 
 
+def test_model_cache_keeps_only_the_latest():
+    build_conic_model(5)
+    build_conic_model(7)
+    assert build_conic_model.cache_info().currsize == 1
+
+
 def test_non_prime_power_rejected():
     with pytest.raises(ValueError):
         build_conic_model(6)
 
 
-@pytest.mark.parametrize("q", MODEL_QS + [121, 127, 128])
+# 256 is the first q whose codes (inf = 256, tangent sentinel 257) overflow 8 bits
+@pytest.mark.parametrize("q", MODEL_QS + [121, 127, 128, 256])
 def test_partner_table_properties(q):
     """sigma_P is an involution, its fixed points (the tangent sentinel
     q+1) are the tangents through P, and each row t pairs t with every

@@ -4,11 +4,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conicac.geometry import build_conic_model, canon_point
+from conicac.geometry import build_conic_model, canon_point, pg_points
 from conicac.gf import field_for_order
-from conicac.nrc import (P0_REL_TOL, NrcArc, _c_schedule, _canonical_points_array,
-                         _p0_margin, completeness_brute, corollary11_range,
-                         gdrs_generator, is_arc, is_prime, nrc_points, p0_solve)
+from conicac.nrc import (P0_REL_TOL, NrcArc, _c_schedule, _p0_margin, completeness_brute,
+                         corollary11_range, gdrs_generator, is_arc, is_prime, nrc_points,
+                         p0_solve)
 from conicac.tables import EXACT_T
 
 P0_DEFAULT = {
@@ -145,25 +145,25 @@ def test_conic_plus_nucleus_is_arc_even_q():
 
 def test_gdrs_unit_scalings_give_nrc():
     ctx = field_for_order(7)
-    cols, mds = gdrs_generator(ctx, 2, list(range(7)), [1] * 7, 1)
-    assert mds
+    cols = gdrs_generator(ctx, 2, list(range(7)), [1] * 7, 1)
+    assert is_arc(cols, 2, ctx)
     assert [canon_point(ctx, c) for c in cols] == nrc_points(ctx, 2).points
 
 
 def test_gdrs_scaled_columns_stay_mds():
     ctx = field_for_order(5)
-    cols, mds = gdrs_generator(ctx, 2, [0, 1, 2, 3, 4], [1, 2, 3, 4, 2], 3)
-    assert mds
+    cols = gdrs_generator(ctx, 2, [0, 1, 2, 3, 4], [1, 2, 3, 4, 2], 3)
+    assert is_arc(cols, 2, ctx)
     assert {canon_point(ctx, c) for c in cols} == set(nrc_points(ctx, 2).points)
 
 
-def test_gdrs_sampled_minors_q13():
-    """Above q = 9 the MDS flag comes from sampled minors; the scaled
-    columns are multiples of the NRC points, in order."""
+def test_gdrs_all_minors_q13():
+    """All C(14, 4) = 1001 minors are nonzero, and the scaled columns are
+    multiples of the NRC points, in order."""
     ctx = field_for_order(13)
     vs = [1 + t % 12 for t in range(13)]
-    cols, mds = gdrs_generator(ctx, 3, list(range(13)), vs, 5)
-    assert mds
+    cols = gdrs_generator(ctx, 3, list(range(13)), vs, 5)
+    assert is_arc(cols, 3, ctx)
     canon = [tuple(ctx.div(x, next(y for y in c if y)) for x in c) for c in cols]
     assert canon == nrc_points(ctx, 3).points
 
@@ -216,7 +216,7 @@ def test_completeness_matches_arc_oracle():
         ext = completeness_brute(arc)
         want = [P for P in _all_points(q, n)
                 if P not in arc.points and is_arc(arc.points + [P], n, ctx)]
-        assert sorted(ext) == want, (q, n)
+        assert ext == want, (q, n)
 
 
 def test_completeness_extension_points_pg6_8():
@@ -233,10 +233,12 @@ def test_completeness_extension_points_pg6_8():
 def test_canonical_points_smallest_dtype(q, n, dtype):
     """Point codes use the smallest unsigned dtype holding q-1, which keeps
     the largest instances the guard admits, such as (16,6), near 125 MB."""
-    pts = _canonical_points_array(field_for_order(q), n)
+    pts = pg_points(field_for_order(q), n)
     assert pts.dtype == dtype
     assert pts.shape == ((q ** (n + 1) - 1) // (q - 1), n + 1)
     assert int(pts.max()) == q - 1
+    rows = pts.tolist()
+    assert rows[0] == [0] * n + [1] and rows == sorted(rows)
 
 
 def test_completeness_guard():

@@ -15,8 +15,8 @@ from conicac import search
 from conicac.geometry import ConicModel, build_conic_model
 from conicac.gf import factor_prime_power, field_for_order
 from conicac.search import (CoverageState, _canonical_bases, _cross_ratio,
-                            coverage_mask, exhaustive_min_ac, greedy_search,
-                            is_ac_subset, is_minimal_ac, randomized_greedy)
+                            coverage_mask, exhaustive_min_ac, is_ac_subset,
+                            is_minimal_ac, randomized_greedy)
 from conicac.tables import EXACT_T
 
 ORACLE_QS = (5, 7, 8, 9, 11, 13)
@@ -154,7 +154,7 @@ def test_best_gain_lower_bound(q):
 @pytest.mark.parametrize("q", ORACLE_QS + (16, 17, 19, 23, 25, 27, 29, 31, 32))
 def test_greedy_produces_ac_and_obeys_gain_bound(q):
     model = build_conic_model(q)
-    res = greedy_search(model)
+    res = randomized_greedy(model, seed=1, restarts=1, random_step_prob=0.0)
     assert res.is_ac and is_ac_subset(model, res.witness)
     assert res.size == len(res.witness)
     for after, delta, uncov_after in res.step_log:
@@ -169,7 +169,7 @@ def test_greedy_size_within_recursion_bound():
     from conicac.bounds import bound_a_trace
     for q in (7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32):
         model = build_conic_model(q)
-        res = greedy_search(model)
+        res = randomized_greedy(model, seed=1, restarts=1, random_step_prob=0.0)
         tr = bound_a_trace(q)
         assert tr.bound is not None and res.size <= tr.bound
 
@@ -329,8 +329,8 @@ def test_randomized_greedy_zero_prob_is_greedy_quality():
     model = build_conic_model(9)
     res = randomized_greedy(model, seed=1, restarts=5, random_step_prob=0.0)
     assert res.is_ac
-    # with no random steps every pass is gain-maximal, so no pass can be
-    # worse than the deterministic tie-break by more than tie noise
+    # with no random steps every step takes a maximal gain, so each one
+    # removes at least the bound-A share of the uncovered points
     for after, delta, uncov_after in res.step_log:
         w_prev = after - 1
         if w_prev < 3 or 2 * w_prev >= 9 + 3:
@@ -376,7 +376,7 @@ def test_exhaustive_finds_sizes_below_the_base_on_canonical_bases(monkeypatch, q
 
 def test_witness_line_format():
     model = build_conic_model(5)
-    res = greedy_search(model)
+    res = randomized_greedy(model, seed=1, restarts=1, random_step_prob=0.0)
     line = res.witness_line(model)
     q, size, names = line.split(";")
     assert q == "5" and int(size) == res.size
