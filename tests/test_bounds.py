@@ -1,14 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conicac import bounds
-from conicac.bounds import (bound_a_trace, bound_b, bound_c_phi,
-                            bound_theorem32, bound_theorem34, curve_emit,
-                            default_xi, evaluate_bound, f_q_log, in_q1,
-                            is_prime_power, prime_powers_up_to, sqrt_qlnq,
-                            theorem41_bound, theta)
+from conicac.bounds import (bound_a_trace, bound_a_values, bound_b,
+                            bound_c_phi, bound_theorem32, bound_theorem34,
+                            curve_emit, default_xi, evaluate_bound, f_q_log,
+                            in_q1, is_prime_power, prime_powers_up_to,
+                            sqrt_qlnq, theorem41_bound, theta)
 from conicac.gf import factor_prime_power
 from conicac.nrc import is_prime
 from conicac.tables import EXACT_T
@@ -89,6 +93,55 @@ def test_recursion_star_shape():
     stars = [bound_a_trace(q).star for q in falling]
     assert all(b < a + 0.025 for a, b in zip(stars, stars[1:]))
     assert stars[-1] < stars[0]
+
+
+def test_bound_a_values_match_trace():
+    qs = prime_powers_up_to(20000)
+    assert bound_a_values(qs) == [bound_a_trace(q).bound for q in qs]
+
+
+@pytest.mark.parametrize("qs, want", [
+    ([5], [None]),
+    ([7, 5, 11], [6, None, 8]),
+    ([11, 7, 11], [8, 6, 8]),
+    ([], []),
+])
+def test_bound_a_values_keep_input_order(qs, want):
+    assert bound_a_values(qs) == want
+
+
+def test_bound_a_values_input_validation():
+    with pytest.raises(ValueError):
+        bound_a_values([7, 4])
+
+
+def test_bound_a_values_fall_back_to_python_ints(monkeypatch):
+    """With the int64 limit lowered, the q still live when the guard trips
+    are finished by the scalar trace, with the same values."""
+    qs = prime_powers_up_to(2000)
+    want = [bound_a_trace(q).bound for q in qs]
+    monkeypatch.setattr(bounds, "_INT64_MAX",
+                        max((w - 2) * u for w, u in bound_a_trace(1009).steps))
+    calls = []
+    monkeypatch.setattr(bounds, "bound_a_trace",
+                        lambda q: calls.append(q) or bound_a_trace(q))
+    assert bound_a_values(qs) == want
+    assert 0 < len(calls) < len(qs)
+
+
+@pytest.mark.parametrize("q", [45000017, 50000017, 2 ** 32 + 15])
+def test_bound_a_at_the_int64_limit(q):
+    """(w-2)*U_w peaks at 0.89x the int64 maximum at q = 45000017 and at
+    1.16x at q = 50000017; at the prime 2^32 + 15, U_5 = (q-5)^2 alone
+    exceeds it.  Run in a subprocess with a timeout: a wrapped U need not
+    ever reach 0."""
+    src = str(Path(bounds.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = f"from conicac.bounds import curve_emit; print(curve_emit([{q}], ['A']))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True, env={**os.environ, "PYTHONPATH": path})
+    want = bound_a_trace(q).bound
+    assert out.stdout.strip() == repr([(q, "A", float(want), want / sqrt_qlnq(q))])
 
 
 # --- truncated product ----------------------------------------------------
@@ -299,6 +352,11 @@ def test_curve_emit_rows():
     # infeasible pairs are skipped, not emitted as None
     rows = curve_emit([9], ["B"])
     assert rows == []
+    # q-major in the order given, duplicates kept, q = 5 has no A row
+    grid, names = [11, 5, 7, 11], ["A", "C"]
+    want = [(q, n, evaluate_bound(n, q)) for q in grid for n in names
+            if evaluate_bound(n, q) is not None]
+    assert [r[:3] for r in curve_emit(grid, names)] == want
 
 
 def test_prime_powers_up_to():

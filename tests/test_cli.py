@@ -126,6 +126,13 @@ def test_bounds_skips_infeasible_a_at_q5(capsys):
     assert "5,A," not in out and out.startswith("q,bound,value,value_star")
 
 
+def test_bounds_keeps_qlist_order_and_duplicates(capsys):
+    code, out, _ = run(capsys, "bounds", "--qlist", "11,7,5,11", "--names", "A")
+    assert code == cli.EXIT_OK
+    assert [line.split(",")[:3] for line in out.strip().splitlines()[1:]] == [
+        ["11", "A", "8"], ["7", "A", "6"], ["11", "A", "8"]]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "{missing}/t.csv"),
     ("bounds", "--qlist", "11", "--out", "{missing}/x.csv"),
