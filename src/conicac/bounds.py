@@ -2,7 +2,10 @@
 
 Implicit bound A is an exact-integer recursion on worst-case uncovered
 counts; the remaining bounds are closed-form or short scans in binary64.
-Starred values divide a bound by sqrt(q ln q).
+Starred values divide a bound by sqrt(q ln q).  The scalar functions
+(`bound_a_trace`, `bound_b`, `bound_c_phi`, `theta`, `evaluate_bound`) are
+the reference; `curve_emit` evaluates each curve for a whole q-grid at once
+in numpy arrays, with the same values bit for bit.
 
 `bound_a_values` runs the A recursion for a whole q-grid at once in int64
 numpy arrays: every q starts at w = 5, so one step advances all q still
@@ -12,6 +15,20 @@ when it would not, the q still live are finished with the Python-int
 `bound_a_trace`.  On the fig2 grid (q <= 1.4e7) the product peaks at
 4.4e17, under 5% of the int64 maximum; the guard first trips between
 q = 4.5e7 and 5e7.
+
+B, C and theta are binary64 expressions.  numpy's log can differ from
+`math.log` in the last bit (numpy 2.4 on x86-64: on 49 of the 910,714
+fig2 q for log q), so every log that enters a value is taken from
+`math.log`, one call per element, and numpy does only +, -, *, / and
+sqrt, in the scalar code's order; numpy rounds those exactly as Python
+does.  `bound_b_values` bisects every q at once with `bisect_left`'s own
+probe sequence, so each q visits the same w as `bound_b`.  A probe only
+compares lhs(w) with the target, so np.log decides it unless the two
+sides lie within B_LOG_SLACK (relative) of each other; such a probe is
+decided again with math.log.  Theta's Q1 test takes the exponent from
+the array factoring `gf.factor_prime_powers`.  `curve_emit` returns one
+row per feasible (q, name), q-major; `ac bounds` calls it once per chunk
+of q and writes each chunk's rows at once.
 """
 
 from __future__ import annotations
@@ -23,11 +40,23 @@ from itertools import islice
 
 import numpy as np
 
-from .gf import factor_prime_power
+from .gf import factor_prime_power, factor_prime_powers
 
 
 def sqrt_qlnq(q: int) -> float:
     return math.sqrt(q * math.log(q))
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    """`math.log` of every element of a float array (see the module docstring)."""
+    return np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=x.size)
+
+
+def _q_array(qs) -> np.ndarray:
+    q = np.asarray(qs, dtype=np.int64)
+    if q.size and q.min() < 5:
+        raise ValueError("q must be >= 5")
+    return q
 
 
 def is_prime_power(q: int) -> bool:
@@ -168,6 +197,46 @@ def bound_b(q: int, xi: float | None = None):
     return (ws[i], ws[i] + 1 + xi) if i < len(ws) else None
 
 
+# Relative distance from the target below which a bisection probe of
+# `bound_b_values` is decided with math.log: np.log and math.log differ by
+# a few units in the last place (about 1e-16 relative), far below it.
+B_LOG_SLACK = 1e-12
+
+
+def bound_b_values(qs) -> tuple[np.ndarray, np.ndarray]:
+    """`bound_b(q)` with the default xi for every q of qs, as arrays (w,
+    value), with w = 0 and value nan where no admissible w exists."""
+    q = _q_array(qs)
+    qf = q.astype(np.float64)
+    lq = _logs(qf)
+    xi = np.sqrt(qf / (3 * lq))
+    target = _logs(xi) - 2 * lq
+
+    def admissible(q, w, target):  # lhs(w) <= target
+        w = np.broadcast_to(w, q.shape)
+        ratio = (q + 1) / (q + 1 - w)
+        scaled = (q - 1) * np.log(ratio)
+        ok = w - scaled <= target
+        near = np.abs(w - scaled - target) <= B_LOG_SLACK * (w + scaled)
+        if near.any():
+            ok[near] = w[near] - (q[near] - 1) * _logs(ratio[near]) <= target[near]
+        return ok
+
+    w = np.where(admissible(q, 1, target), 1, 0)
+    # bisect_left over ws = range(2, (q+2)//2 + 1) for every q with w != 1
+    idx = np.flatnonzero(w == 0)
+    size = (q[idx] + 2) // 2 - 1  # len(ws)
+    lo, hi = np.zeros_like(size), size.copy()
+    while (act := np.flatnonzero(lo < hi)).size:
+        mid = (lo[act] + hi[act]) // 2
+        ok = admissible(q[idx[act]], mid + 2, target[idx[act]])
+        hi[act[ok]] = mid[ok]
+        lo[act[~ok]] = mid[~ok] + 1
+    found = lo < size
+    w[idx[found]] = lo[found] + 2
+    return w, np.where(w > 0, (w + 1) + xi, np.nan)
+
+
 # --- explicit bounds ------------------------------------------------------
 
 def bound_c_phi(q: int) -> float:
@@ -176,6 +245,17 @@ def bound_c_phi(q: int) -> float:
         raise ValueError("q must be >= 5")
     lnq = math.log(q)
     return math.sqrt(q * (3 * lnq + math.log(lnq) + math.log(3))) + math.sqrt(q / (3 * lnq)) + 4
+
+
+def _phi(qf: np.ndarray, lq: np.ndarray) -> np.ndarray:
+    """`bound_c_phi` from q and log q as float arrays."""
+    return np.sqrt(qf * (3 * lq + _logs(lq) + math.log(3))) + np.sqrt(qf / (3 * lq)) + 4
+
+
+def bound_c_values(qs) -> np.ndarray:
+    """`bound_c_phi(q)` for every q of qs."""
+    qf = _q_array(qs).astype(np.float64)
+    return _phi(qf, _logs(qf))
 
 
 def bound_theorem34(q: int, xi: float) -> float:
@@ -203,6 +283,23 @@ def theta(q: int) -> float:
     if _q1(q, pm):
         candidates.append(1.674 * s)
     return min(candidates)
+
+
+def theta_values(qs) -> np.ndarray:
+    """`theta(q)` for every q of qs; ValueError unless every q is a prime power."""
+    q = _q_array(qs)
+    _, m = factor_prime_powers(q)
+    if not m.all():
+        raise ValueError(f"q={q[m == 0][0]} is not a prime power")
+    qf = q.astype(np.float64)
+    lq = _logs(qf)
+    s = np.sqrt(qf * lq)
+    t = np.minimum(1.835 * s, _phi(qf, lq))
+    for coef, cond in ((1.62, (8 <= q) & (q <= 17041)),
+                       (1.635, (17041 < q) & (q <= 33013)),
+                       (1.674, (m >= 2) & (8 <= q) & (q <= 139129))):  # Q1
+        t = np.where(cond, np.minimum(t, coef * s), t)
+    return t
 
 
 _THEOREM41_EXTRA_Q = (160801, 208849, 253009)
@@ -258,21 +355,33 @@ def evaluate_bound(name: str, q: int):
     raise ValueError(f"unknown bound name {name!r}")
 
 
+def bound_values(name: str, qs) -> np.ndarray:
+    """`evaluate_bound(name, q)` for every q of qs as a float array, nan
+    where the bound is infeasible."""
+    if name == "A":
+        return np.array([np.nan if a is None else a for a in bound_a_values(qs)],
+                        dtype=np.float64)
+    if name == "B":
+        return bound_b_values(qs)[1]
+    if name == "C":
+        return bound_c_values(qs)
+    if name == "theta":
+        return theta_values(qs)
+    raise ValueError(f"unknown bound name {name!r}")
+
+
 def curve_emit(q_grid, names):
     """Rows (q, name, value, value/sqrt(q ln q)), q-major; infeasible pairs
-    skipped.  Bound A comes from one `bound_a_values` pass over the grid."""
-    a_values = bound_a_values(q_grid) if "A" in names else None
-    rows = []
-    for i, q in enumerate(q_grid):
-        for name in names:
-            if name == "A":
-                value = None if a_values[i] is None else float(a_values[i])
-            else:
-                value = evaluate_bound(name, q)
-            if value is None:
-                continue
-            rows.append((q, name, value, value / sqrt_qlnq(q)))
-    return rows
+    skipped.  Each named curve is one `bound_values` pass over the grid."""
+    qf = _q_array(q_grid).astype(np.float64)
+    s = np.sqrt(qf * _logs(qf))  # sqrt_qlnq
+    values = np.empty((qf.size, len(names)))
+    for j, name in enumerate(names):
+        values[:, j] = bound_values(name, q_grid)
+    i, j = np.nonzero(~np.isnan(values))  # row-major: q-major
+    v = values[i, j]
+    return list(zip(map(q_grid.__getitem__, i.tolist()), map(names.__getitem__, j.tolist()),
+                    v.tolist(), (v / s[i]).tolist()))
 
 
 def prime_powers_up_to(limit: int):

@@ -11,10 +11,11 @@ import contextlib
 import json
 import sys
 import time
+from itertools import chain
 
 from . import bounds as bnd
 from . import tables
-from .gf import field_for_order
+from .gf import factor_prime_powers, field_for_order
 from .geometry import build_conic_model
 from .nrc import (check_completeness_size, completeness_brute, corollary11_range,
                   nrc_points, p0_solve)
@@ -25,6 +26,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 FIG_GRIDS = {"fig1": 253009, "fig2": 14000029}
+BOUNDS_Q_MAX = 10 ** 10  # largest q `ac bounds` takes; keeps the trial division bounded
+BOUNDS_CHUNK = 1 << 13  # q per `curve_emit` call and per write of `ac bounds`
+BOUNDS_ROW = "%d,%s,%.12g,%.12g\n"  # q, name, value, value_star
 EXACT_CEILING = 32  # largest q `ac exact` runs without --force
 
 
@@ -81,8 +85,13 @@ def _parse_grid(args):
         return bnd.prime_powers_up_to(FIG_GRIDS[args.grid])
     grid = [int(x) for x in args.qlist.split(",")]
     for q in grid:
-        if q < 5 or not bnd.is_prime_power(q):
+        if q > BOUNDS_Q_MAX:
+            raise CliError(f"q={q} is above the ac bounds limit {BOUNDS_Q_MAX}")
+        if q < 5:
             raise CliError(f"q={q} is not a prime power >= 5")
+    _, m = factor_prime_powers(grid)
+    if not m.all():
+        raise CliError(f"q={grid[m.argmin()]} is not a prime power >= 5")
     return grid
 
 
@@ -93,10 +102,11 @@ def cmd_bounds(args) -> int:
             raise CliError(f"unknown bound name {n!r}; choose from {bnd.BOUND_NAMES}")
     grid = _parse_grid(args)
     with _open_out(args.out, sys.stdout) as out:
-        rows = bnd.curve_emit(grid, names)
-        print("q,bound,value,value_star", file=out)
-        for q, name, value, star in rows:
-            print(f"{q},{name},{value:.12g},{star:.12g}", file=out)
+        out.write("q,bound,value,value_star\n")
+        for start in range(0, len(grid), BOUNDS_CHUNK):
+            rows = bnd.curve_emit(grid[start:start + BOUNDS_CHUNK], names)
+            # one %-format over all the chunk's fields, no string per row
+            out.write(BOUNDS_ROW * len(rows) % tuple(chain.from_iterable(rows)))
     return EXIT_OK
 
 
@@ -171,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="emit bound curves as CSV")
     grid = p.add_mutually_exclusive_group(required=True)
-    grid.add_argument("--qlist", help="comma-separated q values")
+    grid.add_argument("--qlist", help="comma-separated prime powers "
+                      f"5 <= q <= {BOUNDS_Q_MAX}")
     grid.add_argument("--grid", choices=sorted(FIG_GRIDS))
     p.add_argument("--names", default="A,B,C,theta")
     p.add_argument("--out", metavar="PATH")

@@ -51,20 +51,22 @@ def canon_point(ctx: FieldCtx, triple) -> tuple[int, int, int]:
 def pg_points(ctx: FieldCtx, n_dim: int) -> np.ndarray:
     """All (q^(N+1)-1)/(q-1) canonical points of PG(N,q) as code rows in
     lexicographic order, (0,...,0,1) first, in the smallest unsigned dtype
-    that holds q-1 (uint8 for q <= 256)."""
+    that holds q-1 (uint8 for q <= 256).  The array is in Fortran order, so
+    each coordinate column is contiguous; it is filled block by block of
+    leading coordinate, each digit column a repeat/tile of 0..q-1."""
     q = ctx.q
     dtype = np.min_scalar_type(q - 1)
-    blocks = []
+    digits = np.arange(q, dtype=dtype)
+    pts = np.zeros(((q ** (n_dim + 1) - 1) // (q - 1), n_dim + 1), dtype=dtype, order="F")
+    row = 0
     for lead in range(n_dim, -1, -1):
         free = n_dim - lead
-        count = q ** free
-        block = np.zeros((count, n_dim + 1), dtype=dtype)
+        block = pts[row:row + q ** free]
         block[:, lead] = 1
-        idx = np.arange(count)
         for j in range(free):
-            block[:, lead + 1 + j] = (idx // q ** (free - 1 - j)) % q
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
+            block[:, lead + 1 + j] = np.tile(np.repeat(digits, q ** (free - 1 - j)), q ** j)
+        row += len(block)
+    return pts
 
 
 def pack_mask(flags) -> int:

@@ -9,6 +9,9 @@ prod_{t in T, t != inf} (x - t) = sum a_k x^k: the polynomial vanishes at
 every finite t in T, and a_N = 0 exactly when inf is in T.  The
 completeness check builds every hyperplane from this product and returns
 the points that extend the arc in lexicographic order.
+
+`p0_solve` walks the odd primes in increasing order from a block sieve,
+PRIME_BLOCK odd numbers at a time, and tests each with the scalar margin.
 """
 
 from __future__ import annotations
@@ -21,18 +24,27 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import pg_points
-from .gf import FieldCtx, field_tables, is_prime
+from .gf import FieldCtx, field_tables, is_prime, primes_up_to  # is_prime: re-exported
 from .bounds import theta
 
 COMPLETENESS_GUARD = 10 ** 8  # refuse instances with q^N beyond this
+PRIME_BLOCK = 1 << 15  # odd numbers per block of the `_odd_primes` sieve
 
 
 def _odd_primes():
-    n = 3
+    """The odd primes in increasing order; block i covers the odd n in
+    [lo, lo + 2*PRIME_BLOCK), lo = 3 + 2*PRIME_BLOCK*i, index j <-> n = lo + 2j."""
+    lo = 3
     while True:
-        if is_prime(n):
-            yield n
-        n += 2
+        hi = lo + 2 * PRIME_BLOCK
+        flags = np.ones(PRIME_BLOCK, dtype=bool)
+        for p in primes_up_to(math.isqrt(hi - 1))[1:].tolist():  # the odd ones
+            start = max(p * p, -(-lo // p) * p)  # first multiple >= lo; from p^2, so p stays
+            if start % 2 == 0:
+                start += p
+            flags[(start - lo) // 2::p] = False
+        yield from (lo + 2 * np.flatnonzero(flags)).tolist()
+        lo = hi
 
 
 # --- p0(h) thresholds -----------------------------------------------------
@@ -202,7 +214,7 @@ def completeness_brute(arc: NrcArc):
     ctx, n_dim = arc.field, arc.n_dim
     q = ctx.q
     check_completeness_size(q, n_dim)
-    pts = np.asfortranarray(pg_points(ctx, n_dim))  # contiguous columns
+    pts = pg_points(ctx, n_dim)  # Fortran order: contiguous columns
     add, mul, neg, _ = field_tables(ctx)
     # tables in the point dtype keep every per-point temporary as narrow as pts
     add, mul = add.astype(pts.dtype), mul.astype(pts.dtype)

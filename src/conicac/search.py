@@ -40,7 +40,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, islice, permutations
 
 import numpy as np
 
@@ -242,23 +242,30 @@ def _cross_ratio(ctx: FieldCtx):
     return cross
 
 
+BASE_CHUNK = 1 << 17  # candidate base rows per `_canonical_bases` pass
+
+
 def _canonical_bases(model: ConicModel, base_size: int):
     """All base subsets of size base_size up to the PGL(2,q) parameter
     action, in `combinations` order: representatives contain {0, 1, inf}
     and are their own minimal sorted image under the maps sending an
     ordered triple of the base to (0, 1, inf).  Each base is one row; a
-    row is dropped as soon as one image is lexicographically smaller."""
+    row is dropped as soon as one image is lexicographically smaller.  The
+    rows go through the permutation passes BASE_CHUNK at a time."""
     q, k = model.q, base_size
     cross = _cross_ratio(model.ctx)
-    rows = ((0, 1, *extra, q) for extra in combinations(range(2, q), k - 3))
-    bases = np.fromiter(chain.from_iterable(rows), dtype=np.min_scalar_type(q),
-                        count=math.comb(q - 2, k - 3) * k).reshape(-1, k)
-    for x, y, z in permutations(range(k), 3):
-        img = np.sort(cross(bases, bases[:, [x]], bases[:, [y]], bases[:, [z]]), axis=1)
-        first = (img != bases).argmax(axis=1)[:, None]
-        smaller = np.take_along_axis(img, first, 1) < np.take_along_axis(bases, first, 1)
-        bases = bases[~smaller.ravel()]
-    yield from map(tuple, bases.tolist())
+    rows = chain.from_iterable((0, 1, *extra, q) for extra in combinations(range(2, q), k - 3))
+    total = math.comb(q - 2, k - 3)
+    for start in range(0, total, BASE_CHUNK):
+        count = min(BASE_CHUNK, total - start) * k
+        bases = np.fromiter(islice(rows, count), dtype=np.min_scalar_type(q),
+                            count=count).reshape(-1, k)
+        for x, y, z in permutations(range(k), 3):
+            img = np.sort(cross(bases, bases[:, [x]], bases[:, [y]], bases[:, [z]]), axis=1)
+            first = (img != bases).argmax(axis=1)[:, None]
+            smaller = np.take_along_axis(img, first, 1) < np.take_along_axis(bases, first, 1)
+            bases = bases[~smaller.ravel()]
+        yield from map(tuple, bases.tolist())
 
 
 def exhaustive_min_ac(model: ConicModel):

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,10 +10,12 @@ import pytest
 
 from conicac import bounds
 from conicac.bounds import (bound_a_trace, bound_a_values, bound_b,
-                            bound_c_phi, bound_theorem32, bound_theorem34,
+                            bound_b_values, bound_c_phi, bound_c_values,
+                            bound_theorem32, bound_theorem34, bound_values,
                             curve_emit, default_xi, evaluate_bound, f_q_log,
                             in_q1, is_prime_power, prime_powers_up_to,
-                            sqrt_qlnq, theorem41_bound, theta)
+                            sqrt_qlnq, theorem41_bound, theta, theta_values)
+from conicac.cli import FIG_GRIDS
 from conicac.gf import factor_prime_power
 from conicac.nrc import is_prime
 from conicac.tables import EXACT_T
@@ -328,6 +331,50 @@ def test_theorem41_examples():
         theorem41_bound(5)
     with pytest.raises(ValueError):
         theorem41_bound(10)
+
+
+# --- array passes ---------------------------------------------------------
+
+def bound_b_pairs(qs):
+    """`bound_b_values` in the scalar `bound_b` form: (w, value) or None."""
+    w, value = bound_b_values(qs)
+    return [(a, v) if a else None for a, v in zip(w.tolist(), value.tolist())]
+
+
+def assert_arrays_match_scalar(qs):
+    """Array B (w and value), C and theta equal the scalar functions bit for
+    bit: every value is a positive finite float, so == is bitwise."""
+    assert bound_b_pairs(qs) == [bound_b(q) for q in qs]
+    assert bound_c_values(qs).tolist() == [bound_c_phi(q) for q in qs]
+    assert theta_values(qs).tolist() == [theta(q) for q in qs]
+
+
+def test_array_bounds_match_scalar_on_fig1():
+    assert_arrays_match_scalar(prime_powers_up_to(FIG_GRIDS["fig1"]))
+
+
+def test_array_bounds_match_scalar_on_a_fig2_sample():
+    qs = random.Random(1).sample(prime_powers_up_to(FIG_GRIDS["fig2"]), 20000)
+    assert_arrays_match_scalar(qs)
+
+
+def test_bound_b_values_math_log_path(monkeypatch):
+    """With an infinite slack every bisection probe is decided with
+    math.log alone, the path np.log hands its near ties to."""
+    monkeypatch.setattr(bounds, "B_LOG_SLACK", math.inf)
+    qs = prime_powers_up_to(20000)
+    assert bound_b_pairs(qs) == [bound_b(q) for q in qs]
+
+
+def test_array_bounds_input_validation():
+    for fn in (bound_b_values, bound_c_values, theta_values):
+        with pytest.raises(ValueError):
+            fn([7, 4])
+    assert bound_b_values([])[0].size == bound_c_values([]).size == theta_values([]).size == 0
+    with pytest.raises(ValueError, match="q=100 is not a prime power"):
+        theta_values([7, 100, 11])
+    with pytest.raises(ValueError):
+        bound_values("Z", [11])
 
 
 # --- emission helpers -----------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -131,6 +132,50 @@ def test_bounds_keeps_qlist_order_and_duplicates(capsys):
     assert code == cli.EXIT_OK
     assert [line.split(",")[:3] for line in out.strip().splitlines()[1:]] == [
         ["11", "A", "8"], ["7", "A", "6"], ["11", "A", "8"]]
+
+
+@pytest.mark.parametrize("names, sha256", [
+    ("A,B,C,theta", "8d4641fc5d66a46589c406ddea6ec6110458c46403ee492948fa0ed271fe50b1"),
+    ("A", "6e638056922aeb353589c03212cf9d1eb6e64701f4d8982251fcea7ef5772a5e"),
+], ids=["default-names", "A"])
+def test_bounds_fig1_csv_pinned(tmp_path, capsys, names, sha256):
+    """The fig1 CSV, byte for byte, as the scalar per-q code wrote it."""
+    path = tmp_path / "fig1.csv"
+    code, _, _ = run(capsys, "bounds", "--grid", "fig1", "--names", names, "--out", str(path))
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_bounds_chunk_boundaries_do_not_change_the_csv(capsys, monkeypatch):
+    argv = ("bounds", "--qlist", "11,7,5,13,16,43,11,101,9,49")
+    code, whole, _ = run(capsys, *argv)
+    assert code == cli.EXIT_OK and len(whole.splitlines()) == 1 + 9 + 3 + 10 + 10  # A B C theta
+    for chunk in (1, 3, 4):
+        monkeypatch.setattr(cli, "BOUNDS_CHUNK", chunk)
+        assert run(capsys, *argv) == (cli.EXIT_OK, whole, "")
+
+
+@pytest.mark.parametrize("q, code", [
+    ("1000000000000000003", cli.EXIT_USAGE),  # prime; trial division to 10^9 would hang
+    (str(cli.BOUNDS_Q_MAX + 19), cli.EXIT_USAGE),
+    ("4294967311", cli.EXIT_OK),              # 2^32 + 15, prime
+])
+def test_bounds_q_limit(tmp_path, q, code):
+    """q above BOUNDS_Q_MAX exits 2 before --out is opened.  In a
+    subprocess with a timeout, so that a hang fails the test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    csv = tmp_path / "c.csv"
+    out = subprocess.run([sys.executable, "-m", "conicac.cli", "bounds", "--qlist", f"7,{q}",
+                          "--names", "C", "--out", str(csv)],
+                         capture_output=True, text=True, timeout=20,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == code
+    if code == cli.EXIT_USAGE:
+        assert out.stderr == f"error: q={q} is above the ac bounds limit {cli.BOUNDS_Q_MAX}\n"
+        assert not csv.exists()
+    else:
+        assert [line.split(",")[0] for line in csv.read_text().splitlines()] == ["q", "7", q]
 
 
 @pytest.mark.parametrize("argv", [

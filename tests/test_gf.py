@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from conicac.gf import (FieldCtx, FieldError, factor_prime_power, field_new,
-                        field_tables, min_irreducible)
+from conicac.gf import (FieldCtx, FieldError, factor_prime_power, factor_prime_powers,
+                        field_new, field_tables, is_prime, min_irreducible, primes_up_to)
 
 PRIME_POWERS_64 = [q for q in range(2, 65) if factor_prime_power(q)]
 
@@ -139,6 +139,31 @@ def test_multiplicative_group_cyclic_small():
             orders.add(o)
         assert q - 1 in orders  # a generator exists
         assert all((q - 1) % o == 0 for o in orders)
+
+
+def test_factor_prime_powers_match_scalar():
+    qs = list(range(-2, 300001))
+    p, m = factor_prime_powers(qs)
+    assert list(zip(p.tolist(), m.tolist())) == [factor_prime_power(q) or (0, 0) for q in qs]
+
+
+@pytest.mark.parametrize("q, want", [
+    (2 ** 32 + 15, (2 ** 32 + 15, 1)),  # prime
+    (65521 ** 2, (65521, 2)),
+    (3 ** 20, (3, 20)),
+    (99991 * 99989, (0, 0)),            # two primes near 10^5
+    (9999999967, (9999999967, 1)),      # the largest prime below 10^10
+])
+def test_factor_prime_powers_large_q(q, want):
+    p, m = factor_prime_powers([q, 7, q])
+    assert (p.tolist(), m.tolist()) == ([want[0], 7, want[0]], [want[1], 1, want[1]])
+    assert factor_prime_power(q) == (want if want[1] else None)
+
+
+def test_primes_up_to():
+    assert primes_up_to(0).tolist() == primes_up_to(1).tolist() == []
+    assert primes_up_to(2).tolist() == [2]
+    assert primes_up_to(10000).tolist() == [n for n in range(10001) if is_prime(n)]
 
 
 def test_factor_prime_power():

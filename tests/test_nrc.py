@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conicac.geometry import build_conic_model, canon_point, pg_points
-from conicac.gf import field_for_order
-from conicac.nrc import (P0_REL_TOL, NrcArc, _c_schedule, _p0_margin, completeness_brute,
-                         corollary11_range, gdrs_generator, is_arc, is_prime, nrc_points,
-                         p0_solve)
+from conicac import nrc
+from conicac.gf import factor_prime_power, field_for_order
+from conicac.nrc import (P0_PERSISTENCE, P0_REL_TOL, NrcArc, P0Entry, _c_schedule,
+                         _odd_primes, _p0_margin, completeness_brute, corollary11_range,
+                         gdrs_generator, is_arc, is_prime, nrc_points, p0_solve)
 from conicac.tables import EXACT_T
 
 P0_DEFAULT = {
@@ -40,6 +41,38 @@ def test_p0_default_thresholds():
 def test_p0_override_thresholds():
     for h, want in P0_C162.items():
         assert p0_solve(h, c_override=1.62).p0 == want
+
+
+def oracle_p0(h, c):
+    """p0(h) by a Miller-Rabin walk over the odd numbers: the reference for
+    the block-sieve walk of `p0_solve`."""
+    window = []
+    n = 1
+    while True:
+        n += 2
+        if not is_prime(n):
+            continue
+        if _p0_margin(n, h, c) > -P0_REL_TOL * math.sqrt(n):
+            window.append(n)
+            if len(window) == P0_PERSISTENCE + 1:
+                return P0Entry(h=h, c=c, p0=window[0], check_value=_p0_margin(window[0], h, c))
+        else:
+            window.clear()
+
+
+@pytest.mark.parametrize("c_override", [None, 1.62])
+def test_p0_matches_miller_rabin_walk(c_override):
+    for h in range(1, 17):
+        c = _c_schedule(h) if c_override is None else c_override
+        assert p0_solve(h, c_override=c_override) == oracle_p0(h, c), h
+
+
+def test_odd_primes_across_sieve_blocks(monkeypatch):
+    want = [n for n in range(3, 20000, 2) if is_prime(n)]
+    for block in (1, 7, 1 << 15):
+        monkeypatch.setattr(nrc, "PRIME_BLOCK", block)
+        walk = _odd_primes()
+        assert [next(walk) for _ in want] == want, block
 
 
 def test_p0_threshold_is_a_crossing():
@@ -239,6 +272,33 @@ def test_canonical_points_smallest_dtype(q, n, dtype):
     assert int(pts.max()) == q - 1
     rows = pts.tolist()
     assert rows[0] == [0] * n + [1] and rows == sorted(rows)
+
+
+def old_pg_points(ctx, n_dim):
+    """The block-wise int64 construction `pg_points` replaced: its reference."""
+    q = ctx.q
+    blocks = []
+    for lead in range(n_dim, -1, -1):
+        free = n_dim - lead
+        idx = np.arange(q ** free)
+        block = np.zeros((idx.size, n_dim + 1), dtype=np.min_scalar_type(q - 1))
+        block[:, lead] = 1
+        for j in range(free):
+            block[:, lead + 1 + j] = (idx // q ** (free - 1 - j)) % q
+        blocks.append(block)
+    return np.concatenate(blocks, axis=0)
+
+
+def test_pg_points_match_old_construction():
+    cases = [(q, n) for q in range(2, 17) if factor_prime_power(q)
+             for n in range(2, 30) if q ** n <= 2e6]
+    assert len(cases) == 77
+    for q, n in cases:
+        ctx = field_for_order(q)
+        pts = pg_points(ctx, n)
+        want = old_pg_points(ctx, n)
+        assert pts.dtype == want.dtype and np.array_equal(pts, want), (q, n)
+        assert pts.flags.f_contiguous  # contiguous columns for the screening
 
 
 def test_completeness_guard():

@@ -432,6 +432,14 @@ def test_canonical_bases_match_scalar_moebius_oracle(q):
     assert list(_canonical_bases(model, 6)) == oracle_canonical_bases(model, 6)
 
 
+def test_canonical_bases_chunks_keep_combinations_order(monkeypatch):
+    model = build_conic_model(13)
+    whole = list(_canonical_bases(model, 6))
+    for chunk in (1, 7, 64):  # C(11, 3) = 165 rows: chunk boundaries inside
+        monkeypatch.setattr(search, "BASE_CHUNK", chunk)
+        assert list(_canonical_bases(model, 6)) == whole, chunk
+
+
 @pytest.mark.parametrize("q", [q for q in MODEL_QS if 11 <= q <= 13])
 def test_canonical_8_bases_match_scalar_moebius_oracle(q):
     # 8-point bases, the size `exhaustive_min_ac` uses at q = 23 and 25
