@@ -9,7 +9,7 @@ from .bounds import (BoundTrace, bound_a_trace, bound_a_values, bound_b,
                      bound_c_phi, bound_theorem32, bound_theorem34,
                      curve_emit, f_q_log, theorem41_bound, theta)
 from .nrc import (NrcArc, P0Entry, completeness_brute, corollary11_range,
-                  gdrs_generator, is_arc, is_prime, nrc_points, p0_solve)
+                  gdrs_generator, is_prime, nrc_points, p0_solve)
 
 __all__ = [
     "FieldCtx", "field_new", "field_for_order", "factor_prime_power",
@@ -19,5 +19,5 @@ __all__ = [
     "bound_theorem32", "bound_theorem34", "curve_emit", "f_q_log",
     "theorem41_bound", "theta",
     "NrcArc", "P0Entry", "completeness_brute", "corollary11_range",
-    "gdrs_generator", "is_arc", "is_prime", "nrc_points", "p0_solve",
+    "gdrs_generator", "is_prime", "nrc_points", "p0_solve",
 ]

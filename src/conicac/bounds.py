@@ -40,7 +40,10 @@ from itertools import islice
 
 import numpy as np
 
-from .gf import factor_prime_power, factor_prime_powers
+from .gf import factor_prime_power, factor_prime_powers, primes_up_to
+
+# largest q that `ac bounds` and `theta` take; keeps the trial division bounded
+BOUNDS_Q_MAX = 10 ** 10
 
 
 def sqrt_qlnq(q: int) -> float:
@@ -271,6 +274,8 @@ def theta(q: int) -> float:
     """Piecewise best bound Theta(q); defined for prime powers q >= 5."""
     if q < 5:
         raise ValueError("q must be >= 5")
+    if q > BOUNDS_Q_MAX:
+        raise ValueError(f"q={q} is above the bounds limit {BOUNDS_Q_MAX}")
     pm = factor_prime_power(q)
     if pm is None:
         raise ValueError(f"q={q} is not a prime power")
@@ -384,20 +389,14 @@ def curve_emit(q_grid, names):
                     v.tolist(), (v / s[i]).tolist()))
 
 
-def prime_powers_up_to(limit: int):
-    """All prime powers in [5, limit], ascending (simple sieve)."""
-    n = limit + 1
-    flags = bytearray([1]) * n
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, int(limit ** 0.5) + 1):
-        if flags[i]:
-            flags[i * i::i] = bytearray(len(flags[i * i::i]))
-    out = []
-    for p in range(2, n):
-        if flags[p]:
-            pk = p
-            while pk <= limit:
-                if pk >= 5:
-                    out.append(pk)
-                pk *= p
-    return sorted(out)
+def prime_powers_up_to(limit: int) -> list[int]:
+    """All prime powers in [5, limit], ascending.  The powers p^k of one
+    exponent k stay ascending in p, so those with p^(k+1) <= limit are a
+    prefix of them."""
+    primes = primes_up_to(limit)
+    parts, pk = [primes], primes
+    while n := int(np.count_nonzero(pk <= limit // primes[:pk.size])):
+        pk = pk[:n] * primes[:n]
+        parts.append(pk)
+    out = np.sort(np.concatenate(parts))
+    return out[out >= 5].tolist()

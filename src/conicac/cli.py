@@ -15,6 +15,7 @@ from itertools import chain
 
 from . import bounds as bnd
 from . import tables
+from .bounds import BOUNDS_Q_MAX
 from .gf import factor_prime_powers, field_for_order
 from .geometry import build_conic_model
 from .nrc import (check_completeness_size, completeness_brute, corollary11_range,
@@ -26,7 +27,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 FIG_GRIDS = {"fig1": 253009, "fig2": 14000029}
-BOUNDS_Q_MAX = 10 ** 10  # largest q `ac bounds` takes; keeps the trial division bounded
 BOUNDS_CHUNK = 1 << 13  # q per `curve_emit` call and per write of `ac bounds`
 BOUNDS_ROW = "%d,%s,%.12g,%.12g\n"  # q, name, value, value_star
 EXACT_CEILING = 32  # largest q `ac exact` runs without --force

@@ -19,10 +19,11 @@ matrix [[x1, -x2], [x0, -x1]]; its fixed points are the t whose tangent
 passes through P.  They are the roots of x0*t^2 - 2*x1*t + x2 (plus inf
 when x0 = 0): two, none or one, as x1^2 - x0*x2 is a nonzero square, a
 non-square or q is even, which names P external, internal or m-even.  The
-model stores sigma_P(t) for every t and every M-point as the (q+1) x |M_q|
-partner table, with the tangent sentinel q+1 at the fixed points; a
-bisecant is one equality test on a row of it.  The tangent at t is read
-off (x - t)^2: the line [t^2, -2t, 1], and [1, 0, 0] at inf.
+model stores sigma_P(t) for every t and every M-point in a (q+1) x |M_q|
+table, with the tangent sentinel q+1 at the fixed points, and
+`ConicModel.sigma` is its one reader: every coverage question, a bisecant
+included, is asked through that method.  The tangent at t is read off
+(x - t)^2: the line [t^2, -2t, 1], and [1, 0, 0] at inf.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class ConicModel:
         x0, x1, x2 = self.m_coords
         tangent_code = q + 1
         dtype = np.int16 if q + 2 <= np.iinfo(np.int16).max else np.int32
-        self.partner = np.empty((q + 1, self.m_size), dtype=dtype)
+        self._partner = np.empty((q + 1, self.m_size), dtype=dtype)
         neg_x1, neg_x2 = neg[x1], neg[x2]
         for t in range(q):
             mul_t = mul[t]
@@ -116,9 +117,9 @@ class ConicModel:
             num = add[mul_t.take(x1), neg_x2]
             row = np.where(den == 0, self.inf, mul[num, inv[den]])
             row[row == t] = tangent_code
-            self.partner[t] = row
-        self.partner[self.inf] = np.where(x0 == 1, x1, tangent_code)
-        self.partner.flags.writeable = False
+            self._partner[t] = row
+        self._partner[self.inf] = np.where(x0 == 1, x1, tangent_code)
+        self._partner.flags.writeable = False
 
     # --- queries ----------------------------------------------------------
 
@@ -133,15 +134,15 @@ class ConicModel:
             raise ValueError(f"parameter {s} out of range for q={self.q}")
         return t
 
-    def bisecant_mpoints(self, t1, t2):
-        """Sorted M_q indices on the line through conic points t1, t2."""
-        if t1 == t2:
-            raise ValueError("bisecant needs two distinct parameters")
-        return np.flatnonzero(self.partner[t1] == t2).tolist()
+    def sigma(self, t, idx) -> np.ndarray:
+        """sigma_P(t) for the M-points P of the index array idx, q+1 where P
+        lies on the tangent at t.  t is a parameter code or an integer column
+        that broadcasts against idx, one row per code."""
+        return self._partner.take(np.multiply(t, self.m_size) + idx)
 
     def pair_mask(self, t1, t2) -> int:
         """Bitmask over M_q of the bisecant through conic points t1, t2."""
-        return pack_mask(self.partner[t1] == t2)
+        return pack_mask(self.sigma(t1, np.arange(self.m_size)) == t2)
 
     def classify_point(self, P) -> str:
         """Kind of the point P (any nonzero triple): on-conic, nucleus,
@@ -156,7 +157,7 @@ class ConicModel:
         return "external" if ctx.pow(disc, (self.q - 1) // 2) == 1 else "internal"
 
 
-@lru_cache(maxsize=1)  # one partner table alive at a time: it is O(q^3)
+@lru_cache(maxsize=1)  # one sigma_P(t) table alive at a time: it is O(q^3)
 def build_conic_model(q: int) -> ConicModel:
     try:
         ctx = field_for_order(q)

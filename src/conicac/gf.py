@@ -125,6 +125,11 @@ def _generator_powers(p: int, m: int, modulus) -> np.ndarray:
     raise FieldError(f"no multiplicative generator found for q={q}")
 
 
+def _check_field_size(q: int) -> None:
+    if q > FIELD_MAX_Q:
+        raise FieldError(f"q={q} exceeds the table-backed field limit {FIELD_MAX_Q}")
+
+
 class FieldCtx:
     """Immutable GF(p^m) arithmetic context; safe to share across workers."""
 
@@ -134,8 +139,7 @@ class FieldCtx:
         if m < 1:
             raise FieldError(f"m={m} must be >= 1")
         q = p ** m
-        if q > FIELD_MAX_Q:
-            raise FieldError(f"q={q} exceeds the table-backed field limit {FIELD_MAX_Q}")
+        _check_field_size(q)
         self.p = p
         self.m = m
         self.q = q
@@ -271,6 +275,7 @@ def factor_prime_powers(qs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def field_for_order(q: int) -> FieldCtx:
+    _check_field_size(q)  # before the trial division, which takes sqrt(q) steps
     pm = factor_prime_power(q)
     if pm is None:
         raise FieldError(f"q={q} is not a prime power")

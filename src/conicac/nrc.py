@@ -145,39 +145,6 @@ def nrc_points(ctx: FieldCtx, n_dim: int) -> NrcArc:
     return NrcArc(n_dim=n_dim, field=ctx)
 
 
-def _det(ctx: FieldCtx, rows) -> int:
-    """Determinant over GF(q) by Gaussian elimination with pivoting."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = ctx.neg(det)
-        det = ctx.mul(det, a[col][col])
-        inv = ctx.inv(a[col][col])
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = ctx.mul(a[r][col], inv)
-                for c in range(col, n):
-                    a[r][c] = ctx.sub(a[r][c], ctx.mul(f, a[col][c]))
-    return det
-
-
-def is_arc(points, n_dim: int, ctx: FieldCtx) -> bool:
-    """True iff every (N+1)-subset of the points is linearly independent."""
-    for pt in points:
-        if len(pt) != n_dim + 1:
-            raise ValueError("point dimension mismatch")
-    for sub in combinations(points, n_dim + 1):
-        if _det(ctx, sub) == 0:
-            return False
-    return True
-
-
 def gdrs_generator(ctx: FieldCtx, n_dim: int, alphas, vs, v_last: int):
     """(N+1) x (q+1) GDRS generator matrix as a list of column tuples.  The
     columns are nonzero multiples of distinct NRC points, so every (N+1)-minor

@@ -13,9 +13,10 @@ candidate c is additive over S:
 the uncovered M-indices and these gain counts; adding t subtracts the
 contributions of the old S to the points t newly covers, and adds the
 contributions of t to the points still uncovered, each with one `bincount`
-over partner-table entries.  The greedy passes drive a `CoverageState`.
-The exhaustive search keeps Python-int bitsets, ORed from a local table of
-pair masks.
+over sigma_P values.  Those values, like every other coverage fact here,
+are read through `ConicModel.sigma` alone.  The greedy passes drive a
+`CoverageState`.  The exhaustive search keeps Python-int bitsets, ORed from
+a local table of pair masks.
 
 The exhaustive search seeds its enumeration with one base per PGL(2,q)
 orbit.  PGL(2,q) is sharply 3-transitive, so the map sending an ordered
@@ -44,7 +45,7 @@ from itertools import chain, combinations, islice, permutations
 
 import numpy as np
 
-from .geometry import ConicModel, build_conic_model, pack_mask
+from .geometry import ConicModel, build_conic_model
 from .gf import FieldCtx, field_tables
 
 
@@ -77,19 +78,9 @@ class CoverageState:
     def uncovered_count(self) -> int:
         return len(self.uncov)
 
-    @property
-    def covered(self) -> int:
-        flags = np.ones(self.model.m_size, dtype=bool)
-        flags[self.uncov] = False
-        return pack_mask(flags)
-
     def unchosen(self) -> list[int]:
         """Parameters not chosen yet, ascending."""
         return np.flatnonzero(~self.in_s[:-1]).tolist()
-
-    def gains(self) -> dict[int, int]:
-        """Number of newly covered points for each unchosen parameter."""
-        return {t: int(self.gain[t]) for t in self.unchosen()}
 
     def best(self) -> list[int]:
         """Unchosen parameters of maximal gain, ascending."""
@@ -100,13 +91,12 @@ class CoverageState:
         """Append parameter t; return the number of newly covered points."""
         if not 0 <= t <= self.model.q or self.in_s[t]:
             raise ValueError(f"parameter {t} already chosen or not on the conic")
-        partner, size = self.model.partner, len(self.in_s)
-        row = partner[t].take(self.uncov)
+        sigma, size = self.model.sigma, len(self.in_s)
+        row = sigma(t, self.uncov)
         hit = self.in_s.take(row)
         new = self.uncov[hit]
-        # flat indices of partner[s, P] for s in the old S and P in new
-        flat = np.add.outer(np.array(self.chosen, dtype=np.intp) * partner.shape[1], new)
-        self.gain -= np.bincount(partner.take(flat).ravel(), minlength=size)
+        old = np.array(self.chosen, dtype=np.intp)[:, None]  # one row per s in the old S
+        self.gain -= np.bincount(sigma(old, new).ravel(), minlength=size)
         keep = ~hit
         self.uncov = self.uncov[keep]
         self.gain += np.bincount(row[keep], minlength=size)
@@ -122,11 +112,11 @@ def _covered_flags(model: ConicModel, subset) -> np.ndarray:
         raise ValueError("subset has a parameter that is not on the conic")
     in_s = np.zeros(model.q + 2, dtype=bool)
     in_s[subset] = True
-    return in_s[model.partner[subset]].any(axis=0)
-
-
-def coverage_mask(model: ConicModel, subset) -> int:
-    return pack_mask(_covered_flags(model, subset))
+    idx = np.arange(model.m_size)
+    flags = np.zeros(model.m_size, dtype=bool)
+    for s in subset:  # one row at a time: O(|M_q|) memory whatever the subset size
+        flags |= in_s[model.sigma(s, idx)]
+    return flags
 
 
 def is_ac_subset(model: ConicModel, subset) -> bool:
@@ -202,14 +192,15 @@ def randomized_greedy(model: ConicModel, seed: int, restarts: int,
     job count: restart i always uses the stream seeded by (seed, i), and the
     winner is the smallest size with the lowest restart index."""
     check_greedy_args(restarts, random_step_prob, jobs)
+    jobs = min(jobs, restarts)  # the pool starts every worker it may use
     results = []
-    if jobs == 1 or restarts == 1:
+    if jobs == 1:
         results = _run_restart_chunk(model, seed, range(restarts), random_step_prob)
     else:
         chunks = [list(range(k, restarts, jobs)) for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futs = [pool.submit(_pool_restart_chunk, model.q, seed, c, random_step_prob)
-                    for c in chunks if c]
+                    for c in chunks]
             for f in futs:
                 results.extend(f.result())
     size, _, chosen, log = min(results, key=lambda r: (r[0], r[1]))

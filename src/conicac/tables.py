@@ -10,6 +10,7 @@ rounded-up starred value.  Full tables load from CSV (`q,tbar[,tstar]`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .bounds import sqrt_qlnq, theta
@@ -84,6 +85,8 @@ def load_table_csv(path):
                 tstar = float(cells[2])
             except ValueError:
                 raise TableFormatError(f"bad tstar in {line!r}", no) from None
+            if not math.isfinite(tstar):  # every comparison with nan is false
+                raise TableFormatError(f"non-finite tstar in {line!r}", no)
         rows.append((q, tbar, tstar))
     return rows
 

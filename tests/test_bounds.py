@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conicac import bounds
-from conicac.bounds import (bound_a_trace, bound_a_values, bound_b,
+from conicac.bounds import (BOUNDS_Q_MAX, bound_a_trace, bound_a_values, bound_b,
                             bound_b_values, bound_c_phi, bound_c_values,
                             bound_theorem32, bound_theorem34, bound_values,
                             curve_emit, default_xi, evaluate_bound, f_q_log,
@@ -295,6 +295,16 @@ def test_theta_branches():
         theta(4)
 
 
+def test_theta_refuses_q_above_the_limit_before_factoring(monkeypatch):
+    def no_factoring(q):
+        raise AssertionError("q factored above the limit")
+
+    monkeypatch.setattr(bounds, "factor_prime_power", no_factoring)
+    for q in (BOUNDS_Q_MAX + 19, 1000000000000000003):
+        with pytest.raises(ValueError, match=f"above the bounds limit {BOUNDS_Q_MAX}"):
+            theta(q)
+
+
 def test_theta_dominates_exact_minimum():
     for q, t in EXACT_T.items():
         if q >= 8:
@@ -411,6 +421,11 @@ def test_prime_powers_up_to():
     want = [q for q in range(5, 201) if factor_prime_power(q)]
     assert got == want
     assert prime_powers_up_to(32)[10:] == [25, 27, 29, 31, 32]
+    assert [prime_powers_up_to(n) for n in range(5)] == [[]] * 5
+    assert prime_powers_up_to(1024)[-4:] == [1013, 1019, 1021, 1024]  # 2^10 at the limit
+    got = prime_powers_up_to(10 ** 4)
+    assert got == [q for q in range(5, 10 ** 4 + 1) if factor_prime_power(q)]
+    assert all(type(q) is int for q in got)
 
 
 def test_prime_power_predicates():

@@ -155,27 +155,54 @@ def test_bounds_chunk_boundaries_do_not_change_the_csv(capsys, monkeypatch):
         assert run(capsys, *argv) == (cli.EXIT_OK, whole, "")
 
 
+HUGE_PRIME = "1000000000000000003"  # trial division to 10^9 would hang
+
+
+def run_subprocess(*argv, timeout=20):
+    """`python -m conicac.cli ARGV` with a timeout, so that a hang fails the test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "conicac.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 @pytest.mark.parametrize("q, code", [
-    ("1000000000000000003", cli.EXIT_USAGE),  # prime; trial division to 10^9 would hang
+    (HUGE_PRIME, cli.EXIT_USAGE),
     (str(cli.BOUNDS_Q_MAX + 19), cli.EXIT_USAGE),
     ("4294967311", cli.EXIT_OK),              # 2^32 + 15, prime
 ])
 def test_bounds_q_limit(tmp_path, q, code):
     """q above BOUNDS_Q_MAX exits 2 before --out is opened.  In a
     subprocess with a timeout, so that a hang fails the test."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     csv = tmp_path / "c.csv"
-    out = subprocess.run([sys.executable, "-m", "conicac.cli", "bounds", "--qlist", f"7,{q}",
-                          "--names", "C", "--out", str(csv)],
-                         capture_output=True, text=True, timeout=20,
-                         env={**os.environ, "PYTHONPATH": path})
+    out = run_subprocess("bounds", "--qlist", f"7,{q}", "--names", "C", "--out", str(csv))
     assert out.returncode == code
     if code == cli.EXIT_USAGE:
         assert out.stderr == f"error: q={q} is above the ac bounds limit {cli.BOUNDS_Q_MAX}\n"
         assert not csv.exists()
     else:
         assert [line.split(",")[0] for line in csv.read_text().splitlines()] == ["q", "7", q]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("search", HUGE_PRIME, "--restarts", "1"), "exceeds the table-backed field limit"),
+    (("exact", HUGE_PRIME, "--force"), "exceeds the table-backed field limit"),
+    (("nrc", "--range", HUGE_PRIME), f"above the bounds limit {cli.BOUNDS_Q_MAX}"),
+])
+def test_huge_prime_q_is_refused_before_factoring(argv, message):
+    out = run_subprocess(*argv)
+    assert out.returncode == cli.EXIT_USAGE and out.stdout == ""
+    assert out.stderr.startswith("error: ") and message in out.stderr
+
+
+def test_verify_huge_prime_row_fails_without_hanging(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(f"q,tbar\n49,18\n{HUGE_PRIME},10\n")
+    out = run_subprocess("verify", str(path))
+    assert out.returncode == cli.EXIT_FAIL
+    assert f"q={HUGE_PRIME} tbar=10 FAIL: q={HUGE_PRIME} is above the bounds limit" in out.stdout
+    assert out.stdout.splitlines()[-1] == f"{path}: 1/2 rows pass"
 
 
 @pytest.mark.parametrize("argv", [
@@ -251,11 +278,7 @@ def test_conflicting_or_invalid_settings_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize("c", ["nan", "inf"])
 def test_nrc_p0_rejects_non_finite_c_without_hanging(c):
     # in a subprocess with a timeout: a p0 search that never crosses never ends
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-m", "conicac.cli", "nrc", "--p0", "1", "--c", c],
-                         capture_output=True, text=True, timeout=60,
-                         env={**os.environ, "PYTHONPATH": path})
+    out = run_subprocess("nrc", "--p0", "1", "--c", c, timeout=60)
     assert out.returncode == cli.EXIT_USAGE and out.stdout == ""
     assert out.stderr.startswith("error: c=")
 
@@ -280,6 +303,14 @@ def test_verify_csv_malformed(tmp_path, capsys):
     path.write_text("q,tbar\n49,xyz\n")
     code, _, err = run(capsys, "verify", str(path))
     assert code == cli.EXIT_USAGE and "line 2" in err
+
+
+def test_verify_csv_nan_star_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("q,tbar,tstar\n1024,127,nan\n2048,194,NaN\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == "error: line 2: non-finite tstar in '1024,127,nan'\n"
 
 
 def test_nrc_p0(capsys):

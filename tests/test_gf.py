@@ -3,8 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from conicac.gf import (FieldCtx, FieldError, factor_prime_power, factor_prime_powers,
-                        field_new, field_tables, is_prime, min_irreducible, primes_up_to)
+from conicac import gf
+from conicac.gf import (FIELD_MAX_Q, FieldCtx, FieldError, factor_prime_power,
+                        factor_prime_powers, field_for_order, field_new, field_tables,
+                        is_prime, min_irreducible, primes_up_to)
 
 PRIME_POWERS_64 = [q for q in range(2, 65) if factor_prime_power(q)]
 
@@ -67,6 +69,16 @@ def test_construction_errors():
         FieldCtx(2, 64)
     with pytest.raises(FieldError):
         FieldCtx(2, 21)  # above the table-backed limit of 2^20 elements
+
+
+def test_field_for_order_checks_the_limit_before_factoring(monkeypatch):
+    def no_factoring(q):
+        raise AssertionError("q factored above the field limit")
+
+    monkeypatch.setattr(gf, "factor_prime_power", no_factoring)
+    for q in (FIELD_MAX_Q + 1, 1000000000000000003):  # the prime would take 10^9 divisions
+        with pytest.raises(FieldError, match=f"exceeds the table-backed field limit {FIELD_MAX_Q}"):
+            field_for_order(q)
 
 
 def test_gf8_mul_examples():

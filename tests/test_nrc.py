@@ -9,8 +9,9 @@ from conicac import nrc
 from conicac.gf import factor_prime_power, field_for_order
 from conicac.nrc import (P0_PERSISTENCE, P0_REL_TOL, NrcArc, P0Entry, _c_schedule,
                          _odd_primes, _p0_margin, completeness_brute, corollary11_range,
-                         gdrs_generator, is_arc, is_prime, nrc_points, p0_solve)
+                         gdrs_generator, is_prime, nrc_points, p0_solve)
 from conicac.tables import EXACT_T
+from oracles import is_arc
 
 P0_DEFAULT = {
     1: 757, 2: 1399, 3: 2129, 4: 2887, 5: 3623, 6: 4621, 7: 5417, 8: 6247,

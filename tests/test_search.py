@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import Future
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -15,9 +16,10 @@ from conicac import search
 from conicac.geometry import ConicModel, build_conic_model
 from conicac.gf import factor_prime_power, field_for_order
 from conicac.search import (CoverageState, _canonical_bases, _cross_ratio,
-                            coverage_mask, exhaustive_min_ac, is_ac_subset,
-                            is_minimal_ac, randomized_greedy)
+                            exhaustive_min_ac, is_ac_subset, is_minimal_ac,
+                            randomized_greedy)
 from conicac.tables import EXACT_T
+from oracles import closed_form_sigma, coverage_mask, covered, gains
 
 ORACLE_QS = (5, 7, 8, 9, 11, 13)
 MODEL_QS = [q for q in range(4, 33) if factor_prime_power(q)]
@@ -60,11 +62,11 @@ def test_coverage_matches_determinant_oracle(q):
         # incremental state agrees with the batch mask
         st = CoverageState(model)
         deltas = [st.add(t) for t in subset]
-        assert st.covered == mask
+        assert covered(st) == mask
         assert sum(deltas) == mask.bit_count()
         assert st.uncovered_count == model.m_size - len(want)
         # gain counts: points each unchosen candidate would newly cover
-        assert st.gains() == {
+        assert gains(st) == {
             t: len(set().union(*(pair_cover[tuple(sorted((t, s)))]
                                  for s in subset)) - want)
             for t in model.params if t not in subset}
@@ -293,6 +295,62 @@ def test_randomized_greedy_runs_on_the_callers_model(monkeypatch):
     res = randomized_greedy(own, seed=1, restarts=3)
     assert calls == []
     assert res.witness == randomized_greedy(build_conic_model(11), seed=1, restarts=3).witness
+
+
+def test_randomized_greedy_starts_no_more_workers_than_restarts(monkeypatch):
+    workers = []
+
+    class InlineExecutor:  # records max_workers and runs each chunk in this process
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlineExecutor)
+    model = build_conic_model(11)
+    one = randomized_greedy(model, seed=1, restarts=2, jobs=1)
+    many = randomized_greedy(model, seed=1, restarts=2, jobs=64)
+    assert workers == [2]
+    assert (many.witness, many.step_log) == (one.witness, one.step_log)
+    assert randomized_greedy(model, seed=1, restarts=1, jobs=64).witness == \
+        randomized_greedy(model, seed=1, restarts=1).witness
+    assert workers == [2]  # one restart runs in this process
+
+
+SIGMA_QS = (7, 8, 9, 13, 16, 17, 25, 27, 32)
+
+
+@pytest.mark.parametrize("q", SIGMA_QS)
+def test_every_table_read_goes_through_sigma(q):
+    """A model whose sigma table is deleted and whose `sigma` is the closed
+    form gives the table-backed model's greedy witnesses and step logs, AC
+    verdicts, pair masks and, for q <= 13, exact minimum."""
+    table = build_conic_model(q)
+    closed = ConicModel(field_for_order(q))
+    closed.sigma = closed_form_sigma(closed)
+    del closed._partner
+
+    want = randomized_greedy(table, seed=1, restarts=20)
+    got = randomized_greedy(closed, seed=1, restarts=20)
+    assert (got.witness, got.step_log, got.is_ac) == (want.witness, want.step_log, True)
+    rng = random.Random(q)
+    for subset in [want.witness, want.witness[:-1], []] + [
+            rng.sample(table.params, rng.randint(1, q)) for _ in range(20)]:
+        assert is_ac_subset(closed, subset) == is_ac_subset(table, subset), subset
+    for t1 in table.params:
+        for t2 in table.params:
+            assert closed.pair_mask(t1, t2) == table.pair_mask(t1, t2), (t1, t2)
+    if q <= 13:
+        assert exhaustive_min_ac(closed) == exhaustive_min_ac(table)
 
 
 SPAWN_SCRIPT = """

@@ -67,3 +67,8 @@ def test_load_table_csv_errors(tmp_path):
     path.write_text("")
     with pytest.raises(TableFormatError):
         load_table_csv(path)
+    for cell in ("nan", "NaN", "inf", "-inf"):  # every comparison with nan is false
+        path.write_text(f"q,tbar,tstar\n49,18,1.31\n1024,127,{cell}\n")
+        with pytest.raises(TableFormatError, match="non-finite tstar") as err:
+            load_table_csv(path)
+        assert err.value.line == 3
