@@ -21,8 +21,10 @@ when x0 = 0): two, none or one, as x1^2 - x0*x2 is a nonzero square, a
 non-square or q is even, which names P external, internal or m-even.  The
 model stores sigma_P(t) for every t and every M-point in a (q+1) x |M_q|
 table, with the tangent sentinel q+1 at the fixed points, and
-`ConicModel.sigma` is its one reader: every coverage question, a bisecant
-included, is asked through that method.  The tangent at t is read off
+`ConicModel.sigma` is its one reader.  The M-points of a bisecant need no
+table: `ConicModel.bisecants` lists them from the line equation, and
+`ConicModel.m_index` gives (0,1,z) the index z - [q even] and (1,y,z) the
+index q - [q even] + y*(q-1) + z - [z > y^2].  The tangent at t is read off
 (x - t)^2: the line [t^2, -2t, 1], and [1, 0, 0] at inf.
 """
 
@@ -106,6 +108,15 @@ class ConicModel:
         self.m_size = self.m_coords.shape[1]
         self.full_mask = (1 << self.m_size) - 1
 
+        # closed-form M-index and bisecants (`m_index`, `bisecants`)
+        self._add, self._mul, self._neg = add, mul, neg
+        self._even = 1 - q % 2
+        self._square = mul.diagonal().copy()
+        self._run = np.arange(q - 1, dtype=np.int32)
+        # M-index of the first M-point (1, y, z) of each row y; int32 like the
+        # field tables, which holds every M-index and z*q while q^2 + q < 2^31
+        self._row_start = (q - self._even + np.arange(q) * (q - 1)).astype(np.int32)
+
         x0, x1, x2 = self.m_coords
         tangent_code = q + 1
         dtype = np.int16 if q + 2 <= np.iinfo(np.int16).max else np.int32
@@ -139,6 +150,36 @@ class ConicModel:
         lies on the tangent at t.  t is a parameter code or an integer column
         that broadcasts against idx, one row per code."""
         return self._partner.take(np.multiply(t, self.m_size) + idx)
+
+    def m_index(self, x0, x1, x2) -> np.ndarray:
+        """M-index of the canonical M-points with coordinate arrays x0, x1, x2,
+        in closed form: (0,1,z) is z - [q even] and (1,y,z) is
+        q - [q even] + y*(q-1) + z - [z > y^2]."""
+        return np.where(x0 == 1, self._affine_index(x1, x2), x2 - self._even)
+
+    def _affine_index(self, y, z):
+        return self._row_start.take(y) + z - (z > self._square.take(y))
+
+    def bisecants(self, t: int, s) -> np.ndarray:
+        """M-indices of the bisecants {t, s} for the parameters s != t of the
+        array s, in closed form: q-1 per s, in the order of s.  They are
+        (1, y, (t+s)*y - t*s) for y not in {t, s} plus (0, 1, t+s), and, with
+        inf, (1, t, z) for z != t^2."""
+        q, run = self.q, self._run
+        s = np.asarray(s, dtype=np.intp)
+        if t == self.inf:
+            return (self._row_start.take(s)[:, None] + run).ravel()
+        is_inf = s == self.inf
+        s = np.where(is_inf, int(t == 0), s)  # a finite stand-in; its row is replaced below
+        y = run + (run >= t)  # every y but t
+        a, b = self._add[t].take(s), self._neg.take(self._mul[t].take(s))
+        z = self._mul.take(a, axis=0).take(y, axis=1)
+        z = self._add.ravel().take(z * q + b[:, None])
+        rows = self._affine_index(y, z)
+        # the column y = s holds the conic point (1, s, s^2): put (0, 1, t+s) there
+        rows[np.arange(len(s)), s - (s > t)] = a - self._even
+        rows[is_inf] = self._row_start[t] + run
+        return rows.ravel()
 
     def pair_mask(self, t1, t2) -> int:
         """Bitmask over M_q of the bisecant through conic points t1, t2."""

@@ -10,13 +10,16 @@ candidate c is additive over S:
             = #{uncovered P : sigma_P(c) in S}.
 
 `CoverageState` is the one incremental-coverage implementation.  It keeps
-the uncovered M-indices and these gain counts; adding t subtracts the
-contributions of the old S to the points t newly covers, and adds the
-contributions of t to the points still uncovered, each with one `bincount`
-over sigma_P values.  Those values, like every other coverage fact here,
-are read through `ConicModel.sigma` alone.  The greedy passes drive a
-`CoverageState`.  The exhaustive search keeps Python-int bitsets, ORed from
-a local table of pair masks.
+these gain counts and works from the smaller side of M_q.  While at most
+half the points are covered, the points t newly covers are its bisecants
+to S not yet covered (`ConicModel.bisecants`, closed form), and the gains
+follow from counts over the covered points and those bisecants alone.
+After that it keeps the uncovered M-indices and scans them.  Either way
+adding t subtracts the contributions of the old S to the points t newly
+covers and adds the contributions of t to the points still uncovered, with
+`bincount`s over sigma_P values read through `ConicModel.sigma`.  The
+greedy passes drive a `CoverageState`.  The exhaustive search keeps
+Python-int bitsets, ORed from a local table of pair masks.
 
 The exhaustive search seeds its enumeration with one base per PGL(2,q)
 orbit.  PGL(2,q) is sharply 3-transitive, so the map sending an ordered
@@ -63,19 +66,29 @@ class SearchResult:
 
 
 class CoverageState:
-    """Single-owner mutable coverage of M_q by the chosen conic parameters."""
+    """Single-owner mutable coverage of M_q by the chosen conic parameters.
+
+    While at most half of M_q is covered, it holds the covered points (a flag
+    per M-point and an index list) and reads only them and the bisecants of
+    the new point; once more are covered, it holds the uncovered index array
+    `uncov` instead and scans it.  `uncov` is None until that one-way switch."""
 
     def __init__(self, model: ConicModel):
         self.model = model
         self.chosen: list[int] = []
         # chosen flag per parameter; the tangent sentinel q+1 stays False
         self.in_s = np.zeros(model.q + 2, dtype=bool)
-        self.uncov = np.arange(model.m_size)
+        self.covered = np.zeros(model.m_size, dtype=bool)
+        self._cov = np.empty(model.m_size, dtype=np.intp)  # covered indices, first _ncov
+        self._ncov = 0
+        self.uncov = None
         # gain[c] = #{uncovered P : sigma_P(c) chosen}; meaningful for unchosen c
         self.gain = np.zeros(model.q + 2, dtype=np.int64)
 
     @property
     def uncovered_count(self) -> int:
+        if self.uncov is None:
+            return self.model.m_size - self._ncov
         return len(self.uncov)
 
     def unchosen(self) -> list[int]:
@@ -91,17 +104,46 @@ class CoverageState:
         """Append parameter t; return the number of newly covered points."""
         if not 0 <= t <= self.model.q or self.in_s[t]:
             raise ValueError(f"parameter {t} already chosen or not on the conic")
+        if self.uncov is None and 2 * self._ncov > self.model.m_size:
+            self.uncov = np.flatnonzero(~self.covered)
+            self.covered = self._cov = None
+        count = self._add_from_covered(t) if self.uncov is None else self._add_from_uncovered(t)
+        self.in_s[t] = True
+        self.chosen.append(t)
+        return count
+
+    def _add_from_covered(self, t: int) -> int:
+        """The points t newly covers are its bisecants to S not yet covered.
+        Every bisecant has q-1 M-points, so #{P uncovered : sigma_P(t) = c} is
+        q-1 less the covered ones.  Over the q-1 points P of a bisecant
+        {t, s0} and each s in S other than s0, sigma_P(s) is every unchosen c
+        once, so the new points take k(k-1) from each such gain (k = |S|),
+        less what the line's already covered points would have taken."""
+        model, size, k = self.model, len(self.in_s), len(self.chosen)
+        old = np.array(self.chosen, dtype=np.intp)
+        line = model.bisecants(t, old)
+        was = self.covered[line]
+        new = line[~was]
+        cov = self._cov[:self._ncov]
+        self.gain += model.q - 1 - k * (k - 1)
+        self.gain += np.bincount(model.sigma(old[:, None], line[was]).ravel(), minlength=size)
+        self.gain -= np.bincount(model.sigma(t, cov), minlength=size)
+        self.covered[new] = True
+        self._cov[self._ncov:self._ncov + len(new)] = new
+        self._ncov += len(new)
+        return len(new)
+
+    def _add_from_uncovered(self, t: int) -> int:
+        """Scan the uncovered points; the partners of the newly covered ones
+        are chosen, so their gain, never read, takes the whole row."""
         sigma, size = self.model.sigma, len(self.in_s)
         row = sigma(t, self.uncov)
         hit = self.in_s.take(row)
         new = self.uncov[hit]
         old = np.array(self.chosen, dtype=np.intp)[:, None]  # one row per s in the old S
         self.gain -= np.bincount(sigma(old, new).ravel(), minlength=size)
-        keep = ~hit
-        self.uncov = self.uncov[keep]
-        self.gain += np.bincount(row[keep], minlength=size)
-        self.in_s[t] = True
-        self.chosen.append(t)
+        self.uncov = self.uncov[~hit]
+        self.gain += np.bincount(row, minlength=size)
         return len(new)
 
 

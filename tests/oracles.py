@@ -28,7 +28,12 @@ def coverage_mask(model, subset) -> int:
 
 
 def covered(state) -> int:
-    """Bitmask over M_q of the points a `CoverageState` has covered."""
+    """Bitmask over M_q of the points a `CoverageState` has covered, read
+    from its covered flags, or from `uncov` once it holds that instead."""
+    if state.uncov is None:
+        listed = np.sort(state._cov[:state._ncov])
+        assert np.array_equal(listed, np.flatnonzero(state.covered)), "index list != flags"
+        return pack_mask(state.covered)
     flags = np.ones(state.model.m_size, dtype=bool)
     flags[state.uncov] = False
     return pack_mask(flags)

@@ -100,6 +100,20 @@ def test_search_inf_in_witness(capsys):
     assert out.strip().startswith("5;5;")
 
 
+def test_search_refuses_a_result_not_marked_ac(capsys, monkeypatch):
+    real = cli.randomized_greedy
+
+    def not_ac(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.is_ac = False
+        return res
+
+    monkeypatch.setattr(cli, "randomized_greedy", not_ac)
+    with pytest.raises(AssertionError, match="non-AC witness"):
+        cli.main(["search", "7", "--restarts", "2"])
+    assert capsys.readouterr().out == ""
+
+
 def test_bounds_command_csv(tmp_path, capsys):
     code, out, _ = run(capsys, "bounds", "--qlist", "11", "--names", "A,C")
     assert code == cli.EXIT_OK

@@ -136,6 +136,21 @@ def test_bisecant_indices_match_line_scan(q):
         assert bisecant_mpoints(model, t2, t1) == want
 
 
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 121, 128])
+def test_closed_form_bisecants_match_the_table(q):
+    """`bisecants` and `m_index` in closed form against the sigma table, for
+    every ordered pair (t, s), inf on either side: prime fields, odd and
+    even extension fields."""
+    model = build_conic_model(q)
+    assert np.array_equal(model.m_index(*model.m_coords), np.arange(model.m_size))
+    for t in model.params:
+        others = [s for s in model.params if s != t]
+        rows = model.bisecants(t, others).reshape(q, q - 1)
+        for s, row in zip(others, rows):
+            assert sorted(row.tolist()) == bisecant_mpoints(model, t, s), (t, s)
+    assert model.bisecants(0, []).size == 0
+
+
 def test_classification_counts_odd_q():
     model = build_conic_model(5)
     kinds = {}

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import random
 import subprocess
@@ -70,6 +71,38 @@ def test_coverage_matches_determinant_oracle(q):
             t: len(set().union(*(pair_cover[tuple(sorted((t, s)))]
                                  for s in subset)) - want)
             for t in model.params if t not in subset}
+
+
+@pytest.mark.parametrize("q", (8, 9, 11, 13, 16, 25))
+def test_coverage_state_matches_a_recount_after_every_add(q):
+    """Walk whole parameter orders, inf at varying positions, and recount
+    coverage and gains from the pair masks after every `add`: while the
+    state holds the covered points, and after it switches to `uncov`."""
+    model = build_conic_model(q)
+    pair = {(t, s): model.pair_mask(t, s) for t in model.params for s in model.params if s != t}
+    rng = random.Random(400 + q)
+    for pos in (0, 1, 4, q // 2, q):
+        order = rng.sample(range(q), q)
+        order.insert(pos, model.inf)
+        st = CoverageState(model)
+        mask, regimes = 0, set()
+        for k, t in enumerate(order):
+            before = mask
+            for s in order[:k]:
+                mask |= pair[t, s]
+            assert st.add(t) == mask.bit_count() - before.bit_count()
+            regimes.add(st.uncov is None)
+            assert covered(st) == mask
+            assert st.uncovered_count == model.m_size - mask.bit_count()
+            chosen = order[:k + 1]
+            want = {}
+            for c in sorted(set(model.params) - set(chosen)):
+                line = 0
+                for s in chosen:
+                    line |= pair[c, s]
+                want[c] = (line & ~mask).bit_count()
+            assert gains(st) == want, (order, k)
+        assert regimes == {True, False}
 
 
 def test_coverage_add_examples():
@@ -354,33 +387,36 @@ def test_every_table_read_goes_through_sigma(q):
 
 
 SPAWN_SCRIPT = """
-import json, multiprocessing
+import json, multiprocessing, sys
 from conicac.geometry import build_conic_model
 from conicac.search import randomized_greedy
 
 if __name__ == "__main__":
-    multiprocessing.set_start_method("spawn")
+    multiprocessing.set_start_method(sys.argv[1])
     model = build_conic_model(11)
     runs = [randomized_greedy(model, seed=3, restarts=12, jobs=jobs)
             for jobs in (1, 2)]
     print(json.dumps([[r.witness, r.step_log] for r in runs]))
 """
+START_METHODS = [m for m in ("spawn", "fork") if m in multiprocessing.get_all_start_methods()]
 
 
 def test_randomized_greedy_spawn_start_method_invariant(tmp_path):
-    """Workers started by spawn rebuild the model from scratch; the result
-    must not depend on the start method or the job count."""
+    """Workers started by spawn rebuild the model from scratch, and forked
+    ones inherit the parent's; the result must depend on neither the start
+    method nor the job count."""
     script = tmp_path / "spawn_run.py"
     script.write_text(SPAWN_SCRIPT)
     src = str(Path(conicac.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, str(script)], capture_output=True,
-                         text=True, check=True, timeout=120,
-                         env={**os.environ, "PYTHONPATH": path})
-    one, two = json.loads(out.stdout)
-    assert one == two
     here = randomized_greedy(build_conic_model(11), seed=3, restarts=12)
-    assert one == json.loads(json.dumps([here.witness, here.step_log]))
+    for method in START_METHODS:
+        out = subprocess.run([sys.executable, str(script), method], capture_output=True,
+                             text=True, check=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path})
+        one, two = json.loads(out.stdout)
+        assert one == two, method
+        assert one == json.loads(json.dumps([here.witness, here.step_log])), method
 
 
 def test_randomized_greedy_zero_prob_is_greedy_quality():
