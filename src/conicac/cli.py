@@ -101,6 +101,8 @@ def cmd_bounds(args) -> int:
     for n in names:
         if n not in bnd.BOUND_NAMES:
             raise CliError(f"unknown bound name {n!r}; choose from {bnd.BOUND_NAMES}")
+        if names.count(n) > 1:
+            raise CliError(f"bound name {n!r} given more than once")
     grid = _parse_grid(args)
     with _open_out(args.out, sys.stdout) as out:
         out.write("q,bound,value,value_star\n")

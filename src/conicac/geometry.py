@@ -4,12 +4,16 @@ Conic points are indexed by a parameter t in F_q u {inf}; the point at
 infinity is encoded as the code q (one past the field range) so arrays of
 size q+1 stay dense.  Plane points are canonical triples (0,0,1), (0,1,z)
 and (1,y,z); `pg_points` lists them in lexicographic order.  The off-conic
-point set M_q is held as three read-only coordinate arrays, the points of
-that list with x1^2 != x0*x2 except the nucleus (0,1,0) of even q: (0,1,z),
-then (1,y,z) with z != y^2.  The order keeps bitset layouts reproducible.
+point set M_q is the points of that list with x1^2 != x0*x2 except the
+nucleus (0,1,0) of even q: (0,1,z), then (1,y,z) with z != y^2, q^2 - [q even]
+in all.  The model keeps no coordinates for them: `ConicModel.m_index`
+indexes them in closed form, (0,1,z) as z - [q even] and (1,y,z) as
+q - [q even] + y*(q-1) + z - [z > y^2].  The order keeps bitset layouts
+reproducible.
 
 The bisecant of {t1, t2} is the line [t1*t2, -(t1+t2), 1], and the
-bisecant of {t, inf} is x1 = t*x0.  So an off-conic point P = (x0,x1,x2)
+bisecant of {t, inf} is x1 = t*x0; `ConicModel.bisecants` lists their
+M-points from these equations.  So an off-conic point P = (x0,x1,x2)
 lies on the bisecant {t, s} exactly when s = sigma_P(t), where
 
     sigma_P(t) = (x1*t - x2) / (x0*t - x1),   sigma_P(inf) = x1/x0,
@@ -20,12 +24,10 @@ passes through P.  They are the roots of x0*t^2 - 2*x1*t + x2 (plus inf
 when x0 = 0): two, none or one, as x1^2 - x0*x2 is a nonzero square, a
 non-square or q is even, which names P external, internal or m-even.  The
 model stores sigma_P(t) for every t and every M-point in a (q+1) x |M_q|
-table, with the tangent sentinel q+1 at the fixed points, and
-`ConicModel.sigma` is its one reader.  The M-points of a bisecant need no
-table: `ConicModel.bisecants` lists them from the line equation, and
-`ConicModel.m_index` gives (0,1,z) the index z - [q even] and (1,y,z) the
-index q - [q even] + y*(q-1) + z - [z > y^2].  The tangent at t is read off
-(x - t)^2: the line [t^2, -2t, 1], and [1, 0, 0] at inf.
+table derived from `bisecants`: row t holds s on the M-points of each
+bisecant {t, s}, and the tangent sentinel q+1 on the rest, the M-points of
+the tangent at t.  `ConicModel.sigma` is its one reader.  The tangent at t
+is read off (x - t)^2: the line [t^2, -2t, 1], and [1, 0, 0] at inf.
 """
 
 from __future__ import annotations
@@ -97,39 +99,27 @@ class ConicModel:
         # for even q the tangents [t^2, 0, 1] and [1, 0, 0] all pass through (0,1,0)
         self.nucleus = (0, 1, 0) if q % 2 == 0 else None
 
-        add, mul, neg, inv = field_tables(ctx)
-        # int64: the sentinels below (inf = q, q+1) overflow uint8 rows at q = 256
-        x0, x1, x2 = pg_points(ctx, 2).T.astype(np.int64)
-        off = mul[x1, x1] != mul[x0, x2]
-        if self.nucleus is not None:
-            off &= (x0 != 0) | (x2 != 0)
-        self.m_coords = np.stack([x0[off], x1[off], x2[off]])
-        self.m_coords.flags.writeable = False
-        self.m_size = self.m_coords.shape[1]
+        add, mul, neg, _ = field_tables(ctx)
+        self._add, self._mul, self._neg = add, mul, neg
+        self._even = 1 - q % 2
+        self.m_size = q * q - self._even
         self.full_mask = (1 << self.m_size) - 1
 
         # closed-form M-index and bisecants (`m_index`, `bisecants`)
-        self._add, self._mul, self._neg = add, mul, neg
-        self._even = 1 - q % 2
         self._square = mul.diagonal().copy()
         self._run = np.arange(q - 1, dtype=np.int32)
         # M-index of the first M-point (1, y, z) of each row y; int32 like the
         # field tables, which holds every M-index and z*q while q^2 + q < 2^31
         self._row_start = (q - self._even + np.arange(q) * (q - 1)).astype(np.int32)
 
-        x0, x1, x2 = self.m_coords
-        tangent_code = q + 1
+        # sigma_P(t) = s on the bisecant {t, s}; the points left in row t lie
+        # on the tangent at t and keep the tangent code q+1
         dtype = np.int16 if q + 2 <= np.iinfo(np.int16).max else np.int32
-        self._partner = np.empty((q + 1, self.m_size), dtype=dtype)
-        neg_x1, neg_x2 = neg[x1], neg[x2]
-        for t in range(q):
-            mul_t = mul[t]
-            den = add[mul_t.take(x0), neg_x1]
-            num = add[mul_t.take(x1), neg_x2]
-            row = np.where(den == 0, self.inf, mul[num, inv[den]])
-            row[row == t] = tangent_code
-            self._partner[t] = row
-        self._partner[self.inf] = np.where(x0 == 1, x1, tangent_code)
+        self._partner = np.full((q + 1, self.m_size), q + 1, dtype=dtype)
+        params = np.arange(q + 1)
+        for t in self.params:
+            others = np.delete(params, t)
+            self._partner[t, self.bisecants(t, others)] = np.repeat(others, q - 1)
         self._partner.flags.writeable = False
 
     # --- queries ----------------------------------------------------------

@@ -18,8 +18,9 @@ After that it keeps the uncovered M-indices and scans them.  Either way
 adding t subtracts the contributions of the old S to the points t newly
 covers and adds the contributions of t to the points still uncovered, with
 `bincount`s over sigma_P values read through `ConicModel.sigma`.  The
-greedy passes drive a `CoverageState`.  The exhaustive search keeps
-Python-int bitsets, ORed from a local table of pair masks.
+greedy passes drive a `CoverageState`.  `is_ac_subset` marks the bisecants
+of every pair of the subset, again in closed form.  The exhaustive search
+keeps Python-int bitsets, ORed from a local table of pair masks.
 
 The exhaustive search seeds its enumeration with one base per PGL(2,q)
 orbit.  PGL(2,q) is sharply 3-transitive, so the map sending an ordered
@@ -150,25 +151,21 @@ class CoverageState:
 def _covered_flags(model: ConicModel, subset) -> np.ndarray:
     """Per M-point: does some bisecant of the subset pass through it?"""
     subset = list(subset)
+    if len(set(subset)) != len(subset):
+        raise ValueError("subset has duplicate parameters")
     if subset and not 0 <= min(subset) <= max(subset) <= model.q:
         raise ValueError("subset has a parameter that is not on the conic")
-    in_s = np.zeros(model.q + 2, dtype=bool)
-    in_s[subset] = True
-    idx = np.arange(model.m_size)
     flags = np.zeros(model.m_size, dtype=bool)
-    for s in subset:  # one row at a time: O(|M_q|) memory whatever the subset size
-        flags |= in_s[model.sigma(s, idx)]
+    for i, s in enumerate(subset):  # each pair once: O(|S| q) memory per step
+        flags[model.bisecants(s, subset[i + 1:])] = True
     return flags
 
 
 def is_ac_subset(model: ConicModel, subset) -> bool:
     """Proper subset of the conic covering every point of M_q."""
     subset = list(subset)
-    if len(set(subset)) != len(subset):
-        raise ValueError("subset has duplicate parameters")
-    if len(subset) >= model.q + 1:
-        return False
-    return bool(_covered_flags(model, subset).all())
+    flags = _covered_flags(model, subset)
+    return len(subset) <= model.q and bool(flags.all())
 
 
 def is_minimal_ac(model: ConicModel, subset) -> bool:

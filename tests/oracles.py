@@ -1,18 +1,30 @@
 """Reference readers shared by the tests, imported as `from oracles import ...`.
 
-They answer questions the library itself never asks: the M-points of one
-bisecant, the coverage of a subset as a bitset, the covered set and the
-gain of every candidate of a `CoverageState`, a closed-form sigma_P(t) that
-needs no table, and the arc test by (N+1)-minors.
+They answer questions the library itself never asks: the coordinates of
+the M-points, the M-points of one bisecant, the coverage of a subset as a
+bitset, the covered set and the gain of every candidate of a
+`CoverageState`, a closed-form sigma_P(t) that needs no table, and the arc
+test by (N+1)-minors.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from conicac.geometry import pack_mask
+from conicac.geometry import pack_mask, pg_points
 from conicac.gf import field_tables
 from conicac.search import _covered_flags
+
+
+def m_coords(model):
+    """The M-points as a 3 x |M_q| int64 coordinate array in M-index order:
+    the points of `pg_points` off the conic, less the nucleus of even q."""
+    mul = field_tables(model.ctx)[1]
+    x0, x1, x2 = pg_points(model.ctx, 2).T.astype(np.int64)
+    off = mul[x1, x1] != mul[x0, x2]
+    if model.nucleus is not None:
+        off &= (x0 != 0) | (x2 != 0)
+    return np.stack([x0[off], x1[off], x2[off]])
 
 
 def bisecant_mpoints(model, t1, t2):
@@ -51,7 +63,7 @@ def closed_form_sigma(model):
     t = inf gives x1/x0 where x0 = 1, otherwise q+1."""
     q = model.q
     add, mul, neg, inv = field_tables(model.ctx)
-    x0, x1, x2 = model.m_coords
+    x0, x1, x2 = m_coords(model)
 
     def sigma(t, idx):
         t = np.asarray(t)

@@ -13,7 +13,7 @@ from conicac.nrc import completeness_brute, is_prime, nrc_points, p0_solve
 from conicac.search import CoverageState, exhaustive_min_ac, randomized_greedy
 from conicac.tables import (EXACT_T, KNOWN_TBAR_SAMPLE, embedded_table2_rows,
                             verify_rows)
-from oracles import bisecant_mpoints, coverage_mask, covered, is_arc
+from oracles import bisecant_mpoints, coverage_mask, covered, is_arc, m_coords
 
 EXACT_FAST_QS = (5, 7, 8, 9, 11, 13)   # the rest of EXACT_T takes seconds to
                                        # minutes (see README), so it is left out
@@ -120,7 +120,7 @@ def _coverage_oracle_and_gain_bound():
             return ctx.add(ctx.add(t1, t2), t3)
 
         conic = [(1, t, ctx.mul(t, t)) for t in range(q)] + [(0, 0, 1)]
-        m_points = list(zip(*model.m_coords.tolist()))
+        m_points = list(zip(*m_coords(model).tolist()))
         pair_cover = {}
         for t1, t2 in combinations(model.params, 2):
             A, B = conic[t1], conic[t2]

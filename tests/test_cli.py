@@ -266,6 +266,14 @@ def test_bounds_rejects_unknown_name(capsys):
     assert code == cli.EXIT_USAGE and "unknown bound" in err
 
 
+@pytest.mark.parametrize("names", ["A,A", "B,theta, B"])
+def test_bounds_rejects_a_repeated_name(capsys, names):
+    code, out, err = run(capsys, "bounds", "--qlist", "7", "--names", names)
+    repeated = names.split(",")[0]
+    assert code == cli.EXIT_USAGE and out == ""
+    assert f"bound name {repeated!r} given more than once" in err
+
+
 def test_bounds_needs_a_grid(capsys):
     code, _, err = run(capsys, "bounds")
     assert code == cli.EXIT_USAGE

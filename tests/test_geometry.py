@@ -6,7 +6,7 @@ import pytest
 
 from conicac.geometry import build_conic_model, canon_point
 from conicac.gf import factor_prime_power, field_for_order
-from oracles import bisecant_mpoints
+from oracles import bisecant_mpoints, closed_form_sigma, m_coords
 
 MODEL_QS = [q for q in range(4, 33) if factor_prime_power(q)]
 
@@ -39,7 +39,7 @@ def conic_point(model, t):
 
 
 def m_points(model):
-    return list(zip(*model.m_coords.tolist()))
+    return list(zip(*m_coords(model).tolist()))
 
 
 def tangent_count(model, P):
@@ -77,10 +77,9 @@ def test_point_counts(q):
     assert len(model.params) == q + 1
     assert len({conic_point(model, t) for t in model.params}) == q + 1
     assert len(all_points(q)) == q * q + q + 1
-    if q % 2 == 0:
-        assert model.m_size == q * q - 1
-    else:
-        assert model.m_size == q * q
+    assert model.m_size == q * q - (q % 2 == 0)
+    # `m_index` in closed form against the enumerated M-points
+    assert np.array_equal(model.m_index(*m_coords(model)), np.arange(model.m_size))
 
 
 def test_nucleus_even_q():
@@ -138,16 +137,21 @@ def test_bisecant_indices_match_line_scan(q):
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 121, 128])
 def test_closed_form_bisecants_match_the_table(q):
-    """`bisecants` and `m_index` in closed form against the sigma table, for
-    every ordered pair (t, s), inf on either side: prime fields, odd and
-    even extension fields."""
+    """`bisecants` and `m_index` in closed form against the tableless
+    `closed_form_sigma` and the enumerated M-points, for every ordered pair
+    (t, s), inf on either side: prime fields, odd and even extension fields.
+    The model's own table is built from `bisecants`, so it is no reference."""
     model = build_conic_model(q)
-    assert np.array_equal(model.m_index(*model.m_coords), np.arange(model.m_size))
+    assert np.array_equal(model.m_index(*m_coords(model)), np.arange(model.m_size))
+    sigma = closed_form_sigma(model)
     for t in model.params:
-        others = [s for s in model.params if s != t]
+        others = np.array([s for s in model.params if s != t])
         rows = model.bisecants(t, others).reshape(q, q - 1)
-        for s, row in zip(others, rows):
-            assert sorted(row.tolist()) == bisecant_mpoints(model, t, s), (t, s)
+        want = sigma(t, np.arange(model.m_size))
+        # row s lists q-1 distinct points with sigma_P(t) = s, and there are no others
+        assert (want[rows] == others[:, None]).all(), t
+        assert np.unique(rows).size == rows.size, t
+        assert (np.bincount(want, minlength=q + 2)[others] == q - 1).all(), t
     assert model.bisecants(0, []).size == 0
 
 
@@ -184,7 +188,6 @@ def test_m_index_is_lexicographic():
         assert pts == sorted(pts)
         excluded = {conic_point(model, t) for t in model.params} | {model.nucleus}
         assert pts == [P for P in all_points(q) if P not in excluded]
-        assert not model.m_coords.flags.writeable
 
 
 @pytest.mark.parametrize("q", MODEL_QS)
@@ -224,12 +227,16 @@ def test_partner_table_properties(q):
     """sigma_P is an involution, its fixed points (the tangent sentinel
     q+1) are the tangents through P, and each row t pairs t with every
     other parameter on the q-1 M-points of their bisecant.  The whole table
-    is read through `ConicModel.sigma`."""
+    is read through `ConicModel.sigma` and equals the closed form row by row."""
     model = build_conic_model(q)
     params = np.array(model.params)[:, None]
-    partner = model.sigma(params, np.arange(model.m_size)).astype(np.int64)
+    idx = np.arange(model.m_size)
+    partner = model.sigma(params, idx).astype(np.int64)
     sentinel = q + 1
     assert partner.shape == (q + 1, model.m_size)
+    closed = closed_form_sigma(model)
+    for t in model.params:
+        assert np.array_equal(partner[t], closed(t, idx)), t
     rows, cols = np.nonzero(partner != sentinel)
     assert (partner[partner[rows, cols], cols] == rows).all()
 

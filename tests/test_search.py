@@ -20,7 +20,7 @@ from conicac.search import (CoverageState, _canonical_bases, _cross_ratio,
                             exhaustive_min_ac, is_ac_subset, is_minimal_ac,
                             randomized_greedy)
 from conicac.tables import EXACT_T
-from oracles import closed_form_sigma, coverage_mask, covered, gains
+from oracles import closed_form_sigma, coverage_mask, covered, gains, m_coords
 
 ORACLE_QS = (5, 7, 8, 9, 11, 13)
 MODEL_QS = [q for q in range(4, 33) if factor_prime_power(q)]
@@ -38,7 +38,7 @@ def oracle_pair_cover(model):
     through conic params (t1, t2) iff det(C(t1), C(t2), P) vanishes."""
     ctx = model.ctx
     conic = [(1, t, ctx.mul(t, t)) for t in range(model.q)] + [(0, 0, 1)]
-    m_points = list(zip(*model.m_coords.tolist()))
+    m_points = list(zip(*m_coords(model).tolist()))
     out = {}
     for t1, t2 in combinations(model.params, 2):
         A, B = conic[t1], conic[t2]
@@ -126,6 +126,12 @@ def test_is_ac_subset_examples():
     for bad in (-1, model.inf + 1):
         with pytest.raises(ValueError, match="not on the conic"):
             is_ac_subset(model, [0, 1, bad])
+
+
+def test_coverage_mask_refuses_duplicates():
+    # the bisecant {1, 1} is undefined, so both callers of the flags refuse
+    with pytest.raises(ValueError, match="duplicate"):
+        coverage_mask(build_conic_model(5), [1, 1, 2])
 
 
 def test_is_minimal_ac():
