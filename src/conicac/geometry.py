@@ -172,8 +172,12 @@ class ConicModel:
         return rows.ravel()
 
     def pair_mask(self, t1, t2) -> int:
-        """Bitmask over M_q of the bisecant through conic points t1, t2."""
-        return pack_mask(self.sigma(t1, np.arange(self.m_size)) == t2)
+        """Bitmask over M_q of the bisecant through conic points t1, t2; 0
+        when t1 = t2."""
+        flags = np.zeros(self.m_size, dtype=bool)
+        if t1 != t2:
+            flags[self.bisecants(t1, [t2])] = True
+        return pack_mask(flags)
 
     def classify_point(self, P) -> str:
         """Kind of the point P (any nonzero triple): on-conic, nucleus,

@@ -20,7 +20,11 @@ covers and adds the contributions of t to the points still uncovered, with
 `bincount`s over sigma_P values read through `ConicModel.sigma`.  The
 greedy passes drive a `CoverageState`.  `is_ac_subset` marks the bisecants
 of every pair of the subset, again in closed form.  The exhaustive search
-keeps Python-int bitsets, ORed from a local table of pair masks.
+keeps Python-int bitsets: each DFS node carries, for every candidate c
+still to come, the OR of the pair masks of c with the subset, so the
+coverage of a child is one OR.  A child gets its own list only when it
+passes the pruning checks and its own children can still recurse; the
+last level, which can only complete a cover, is scanned in place.
 
 The exhaustive search seeds its enumeration with one base per PGL(2,q)
 orbit.  PGL(2,q) is sharply 3-transitive, so the map sending an ordered
@@ -31,7 +35,9 @@ triple (x, y, z) to (0, 1, inf) is unique and sends t to the cross ratio
 where [s,t] = u_s*v_t - u_t*v_s for the homogeneous pairs t -> (t, 1) and
 inf -> (1, 0).  A base through {0, 1, inf} is canonical when no such map
 of one of its ordered triples gives a lexicographically smaller sorted
-image; all candidate bases are tested at once, one triple at a time.
+image; all candidate bases are tested at once, one triple at a time.  The
+cross ratio factors as ([t,x]/[t,z]) * ([y,z]/[y,x]): the first factor is
+taken once per pair (x, z), and each y multiplies it by a per-base scalar.
 
 AC-ness is invariant under PGL(2,q), so the exhaustive search needs only
 canonical bases, one per orbit (cf. B. D. McKay, "Isomorph-free exhaustive
@@ -249,27 +255,34 @@ def randomized_greedy(model: ConicModel, seed: int, restarts: int,
 
 # --- exhaustive search ----------------------------------------------------
 
-def _cross_ratio(ctx: FieldCtx):
-    """Vectorized cross ratio (t; x, y, z) over parameter codes (inf = q).
+def _cross_ratio_factors(ctx: FieldCtx):
+    """The two factors of the cross ratio over parameter codes (inf = q):
+
+        (t; x, y, z) = times[ratio(t, x, z), ratio(y, z, x)].
 
     [s,t] = u_s*v_t - u_t*v_s is the determinant of the homogeneous pairs
-    t -> (t, 1) and inf -> (1, 0), held as one (q+1) x (q+1) table; the
-    returned function maps broadcastable code arrays t, x, y, z to
-    [t,x]*[y,z] / ([t,z]*[y,x]), with a zero denominator giving inf.  The
-    tables, and so the images, use the smallest unsigned dtype holding q."""
-    q = ctx.q
+    t -> (t, 1) and inf -> (1, 0); it is zero exactly when s = t.  ratio
+    maps broadcastable code arrays t, x, z to [t,x] / [t,z], inf where
+    t = z, with one gather from a (q+1)^3 table.  times is the (q+1) x q
+    product table of F_q u {inf} by F_q, with inf * g = inf: ratio(y, z, x)
+    is finite and nonzero for y not in {x, z}.  The tables, and so the
+    images, use the smallest unsigned dtype holding q."""
+    q, n = ctx.q, ctx.q + 1
     dtype = np.min_scalar_type(q)
+    index = np.min_scalar_type(n ** 3 - 1)
     add, mul, neg, inv = (table.astype(dtype) for table in field_tables(ctx))
     u = np.append(np.arange(q), 1)
     v = np.append(np.ones(q, dtype=np.int64), 0)
-    det = add[mul[u[:, None], v], neg[mul[u, v[:, None]]]]
+    det = add[mul[u, v[:, None]], neg[mul[u[:, None], v]]]  # det[x, t] = [t,x]
+    table = mul[det[:, None, :], inv[det][None, :, :]]  # [x, z, t]: [t,x] / [t,z]
+    table[:, np.arange(n), np.arange(n)] = q  # t = z: [t,z] = 0
+    table = table.ravel()
+    times = np.vstack([mul, np.full(q, q, dtype=dtype)])
 
-    def cross(t, x, y, z):
-        num = mul[det[t, x], det[y, z]]
-        den = mul[det[t, z], det[y, x]]
-        return np.where(den == 0, dtype.type(q), mul[num, inv[den]])
+    def ratio(t, x, z):
+        return table[(np.asarray(x, dtype=index) * n + z) * n + t]
 
-    return cross
+    return ratio, times
 
 
 BASE_CHUNK = 1 << 17  # candidate base rows per `_canonical_bases` pass
@@ -280,21 +293,32 @@ def _canonical_bases(model: ConicModel, base_size: int):
     action, in `combinations` order: representatives contain {0, 1, inf}
     and are their own minimal sorted image under the maps sending an
     ordered triple of the base to (0, 1, inf).  Each base is one row; a
-    row is dropped as soon as one image is lexicographically smaller.  The
-    rows go through the permutation passes BASE_CHUNK at a time."""
+    row is dropped as soon as one image is lexicographically smaller.  For
+    each ordered pair (x, z) of base positions the factor [t,x]/[t,z] is
+    taken once per element, and each y scales it by the per-row
+    [y,z]/[y,x].  The rows go through the passes BASE_CHUNK at a time."""
     q, k = model.q, base_size
-    cross = _cross_ratio(model.ctx)
-    rows = chain.from_iterable((0, 1, *extra, q) for extra in combinations(range(2, q), k - 3))
+    ratio, times = _cross_ratio_factors(model.ctx)
+    dtype = times.dtype
+    extras = chain.from_iterable(combinations(range(2, q), k - 3))
     total = math.comb(q - 2, k - 3)
     for start in range(0, total, BASE_CHUNK):
-        count = min(BASE_CHUNK, total - start) * k
-        bases = np.fromiter(islice(rows, count), dtype=np.min_scalar_type(q),
-                            count=count).reshape(-1, k)
-        for x, y, z in permutations(range(k), 3):
-            img = np.sort(cross(bases, bases[:, [x]], bases[:, [y]], bases[:, [z]]), axis=1)
-            first = (img != bases).argmax(axis=1)[:, None]
-            smaller = np.take_along_axis(img, first, 1) < np.take_along_axis(bases, first, 1)
-            bases = bases[~smaller.ravel()]
+        count = min(BASE_CHUNK, total - start)
+        bases = np.empty((count, k), dtype=dtype)
+        bases[:, :2] = 0, 1
+        bases[:, 2:-1] = np.fromiter(islice(extras, count * (k - 3)), dtype=dtype,
+                                     count=count * (k - 3)).reshape(count, k - 3)
+        bases[:, -1] = q
+        for x, z in permutations(range(k), 2):
+            f = ratio(bases, bases[:, [x]], bases[:, [z]])
+            for y in range(k):
+                if y == x or y == z:
+                    continue
+                img = np.sort(times[f, ratio(bases[:, [y]], bases[:, [z]], bases[:, [x]])], axis=1)
+                first = (img != bases).argmax(axis=1)[:, None]
+                smaller = np.take_along_axis(img, first, 1) < np.take_along_axis(bases, first, 1)
+                keep = ~smaller.ravel()
+                bases, f = bases[keep], f[keep]
         yield from map(tuple, bases.tolist())
 
 
@@ -311,7 +335,9 @@ def exhaustive_min_ac(model: ConicModel):
     full = model.full_mask
     qm1 = q - 1
     # pair[t][u]: bitmask of the bisecant {t, u} (0 on the diagonal)
-    pair = [[model.pair_mask(t, u) for u in params] for t in params]
+    pair = [[0] * len(params) for _ in params]
+    for t, u in combinations(params, 2):
+        pair[t][u] = pair[u][t] = model.pair_mask(t, u)
 
     def cover(subset):
         mask = 0
@@ -336,38 +362,52 @@ def exhaustive_min_ac(model: ConicModel):
     best_witness = list(start.witness)
     # g - 4 was the fastest, or within noise of it, at q = 13..29 among base
     # sizes 4..10 (q=27, 2 vCPUs: 10 took 3.5 s, 9 1.2 s, 8 2.2 s, 6 4.8 s).  There are C(q-2, k-3)
-    # candidate bases: at q=32 size 10 runs the whole search in 64 s and 156
-    # MB, while 11 spends 30 s and 421 MB on the bases alone and 9 takes 127 s.
+    # candidate bases: at q=32 size 10 ran the whole search in 64 s and 156
+    # MB, while 11 spent 30 s and 421 MB on the bases alone and 9 took 127 s
+    # (measured when each DFS node ORed its new point with the whole subset).
     base_size = min(max(3, best_size - 4), 10)
     if smaller := smallest_ac(range(3, base_size), lambda s: _canonical_bases(model, s)):
         return smaller
 
-    def extend(subset, covered, cand_from):
+    def short(s, mask):
+        # r = best_size - 1 - s more points add at most
+        # (C(s+r,2)-C(s,2))*(q-1) covered points
+        return (math.comb(best_size - 1, 2) - math.comb(s, 2)) * qm1 < model.m_size - mask.bit_count()
+
+    def extend(subset, covered, cands, acc):
+        """Visit the children subset + [cands[j]], whose coverage is
+        covered | acc[j]; acc[j] ORs the pair masks of cands[j] with subset."""
         nonlocal best_size, best_witness
-        s = len(subset)
-        if covered == full:
-            if s < best_size:
-                best_size = s
-                best_witness = list(subset)
-            return
-        if s + 1 >= best_size:
-            return
-        # r extra points add at most (C(s+r,2)-C(s,2))*(q-1) covered points
-        uncovered = model.m_size - covered.bit_count()
-        r = best_size - 1 - s
-        if (math.comb(s + r, 2) - math.comb(s, 2)) * qm1 < uncovered:
-            return
-        for j, t in enumerate(cand_from):
-            mask = covered
-            for u in subset:
-                mask |= pair[t][u]
-            # zero-gain extensions still recurse: they enable later coverage
-            extend(subset + [t], mask, cand_from[j + 1:])
+        s = len(subset) + 1  # size of every child
+        for j, t in enumerate(cands):
+            if s >= best_size:
+                return  # no child can be a smaller cover any more
+            mask = covered | acc[j]
+            if mask == full:
+                best_size, best_witness = s, subset + [t]
+            elif s + 1 < best_size and not short(s, mask):
+                # zero-gain extensions still recurse: they enable later coverage
+                row, rest = pair[t], cands[j + 1:]
+                if s + 2 < best_size:
+                    extend(subset + [t], mask, rest, [a | row[c] for a, c in zip(acc[j + 1:], rest)])
+                else:  # the grandchildren are leaves: only a full cover counts
+                    for a, c in zip(acc[j + 1:], rest):
+                        if mask | a | row[c] == full:
+                            best_size, best_witness = s + 1, subset + [t, c]
+                            break
 
     for base in _canonical_bases(model, base_size):
-        covered = cover(base)
-        rest = [t for t in params if t not in base]
-        extend(list(base), covered, rest)
+        subset = list(base)
+        covered = cover(subset)
+        if covered == full:
+            if base_size < best_size:
+                best_size, best_witness = base_size, subset
+        elif base_size + 1 < best_size and not short(base_size, covered):
+            rest = [t for t in params if t not in base]
+            acc = [0] * len(rest)
+            for u in subset:
+                acc = [a | pair[u][c] for a, c in zip(acc, rest)]
+            extend(subset, covered, rest, acc)
 
     assert is_ac_subset(model, best_witness)
     return best_size, best_witness

@@ -3,14 +3,16 @@
 They answer questions the library itself never asks: the coordinates of
 the M-points, the M-points of one bisecant, the coverage of a subset as a
 bitset, the covered set and the gain of every candidate of a
-`CoverageState`, a closed-form sigma_P(t) that needs no table, and the arc
-test by (N+1)-minors.
+`CoverageState`, a closed-form sigma_P(t) that needs no table, the
+exhaustive search with the plain DFS, and the arc test by (N+1)-minors.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
 
+from conicac import search
 from conicac.geometry import pack_mask, pg_points
 from conicac.gf import field_tables
 from conicac.search import _covered_flags
@@ -76,6 +78,61 @@ def closed_form_sigma(model):
         return np.where(t == q, np.where(a == 1, b, q + 1), value)
 
     return sigma
+
+
+def reference_min_ac(model):
+    """`exhaustive_min_ac` with the plain DFS: each node ORs the pair masks of
+    its new point with the whole subset, and checks full cover, size and
+    the C(s+r,2) counting bound itself.  The seed and the bases come from
+    `search.randomized_greedy` and `search._canonical_bases`, read at call
+    time, so a test that patches them patches both searches."""
+    q, params, full, qm1 = model.q, model.params, model.full_mask, model.q - 1
+    pair = [[model.pair_mask(t, u) for u in params] for t in params]
+
+    def cover(subset):
+        mask = 0
+        for t, u in combinations(subset, 2):
+            mask |= pair[t][u]
+        return mask
+
+    def smallest_ac(sizes, subsets):
+        for s in sizes:
+            if math.comb(s, 2) * qm1 < model.m_size:
+                continue
+            for sub in subsets(s):
+                if cover(sub) == full:
+                    return s, list(sub)
+        return None
+
+    if q <= 7:
+        return smallest_ac(range(3, q + 1), lambda s: combinations(params, s))
+    start = search.randomized_greedy(model, seed=0, restarts=20)
+    best_size, best_witness = start.size, list(start.witness)
+    base_size = min(max(3, best_size - 4), 10)
+    if smaller := smallest_ac(range(3, base_size), lambda s: search._canonical_bases(model, s)):
+        return smaller
+
+    def extend(subset, covered, cand_from):
+        nonlocal best_size, best_witness
+        s = len(subset)
+        if covered == full:
+            if s < best_size:
+                best_size, best_witness = s, list(subset)
+            return
+        if s + 1 >= best_size:
+            return
+        r = best_size - 1 - s
+        if (math.comb(s + r, 2) - math.comb(s, 2)) * qm1 < model.m_size - covered.bit_count():
+            return
+        for j, t in enumerate(cand_from):
+            mask = covered
+            for u in subset:
+                mask |= pair[t][u]
+            extend(subset + [t], mask, cand_from[j + 1:])
+
+    for base in search._canonical_bases(model, base_size):
+        extend(list(base), cover(base), [t for t in params if t not in base])
+    return best_size, best_witness
 
 
 def _det(ctx, rows) -> int:

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conicac.geometry import build_conic_model, canon_point
+from conicac.geometry import build_conic_model, canon_point, pack_mask
 from conicac.gf import factor_prime_power, field_for_order
 from oracles import bisecant_mpoints, closed_form_sigma, m_coords
 
@@ -153,6 +153,20 @@ def test_closed_form_bisecants_match_the_table(q):
         assert np.unique(rows).size == rows.size, t
         assert (np.bincount(want, minlength=q + 2)[others] == q - 1).all(), t
     assert model.bisecants(0, []).size == 0
+
+
+@pytest.mark.parametrize("q", [8, 9, 13, 16, 25])
+def test_pair_masks_match_closed_form_sigma(q):
+    """`pair_mask(t1, t2)` marks exactly the M-points P with sigma_P(t1) = t2,
+    from the tableless `closed_form_sigma`, for every ordered pair; 0 on
+    the diagonal, where the tangent code q+1 never equals t1."""
+    model = build_conic_model(q)
+    sigma = closed_form_sigma(model)
+    everything = np.arange(model.m_size)
+    for t1 in model.params:
+        row = sigma(t1, everything)
+        for t2 in model.params:
+            assert model.pair_mask(t1, t2) == pack_mask(row == t2), (t1, t2)
 
 
 def test_classification_counts_odd_q():

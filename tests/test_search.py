@@ -16,11 +16,12 @@ import conicac
 from conicac import search
 from conicac.geometry import ConicModel, build_conic_model
 from conicac.gf import factor_prime_power, field_for_order
-from conicac.search import (CoverageState, _canonical_bases, _cross_ratio,
+from conicac.search import (CoverageState, _canonical_bases, _cross_ratio_factors,
                             exhaustive_min_ac, is_ac_subset, is_minimal_ac,
                             randomized_greedy)
 from conicac.tables import EXACT_T
-from oracles import closed_form_sigma, coverage_mask, covered, gains, m_coords
+from oracles import (closed_form_sigma, coverage_mask, covered, gains, m_coords,
+                     reference_min_ac)
 
 ORACLE_QS = (5, 7, 8, 9, 11, 13)
 MODEL_QS = [q for q in range(4, 33) if factor_prime_power(q)]
@@ -474,6 +475,27 @@ def test_exhaustive_finds_sizes_below_the_base_on_canonical_bases(monkeypatch, q
     assert witness in [list(b) for b in _canonical_bases(model, size)]
 
 
+@pytest.mark.parametrize("q", [q for q in sorted(EXACT_T) if q <= 25])
+def test_exhaustive_matches_the_reference_dfs(q):
+    model = build_conic_model(q)
+    assert exhaustive_min_ac(model) == reference_min_ac(model)
+
+
+@pytest.mark.parametrize("extra", (1, 2))
+@pytest.mark.parametrize("q", (13, 16, 17, 19))
+def test_exhaustive_matches_the_reference_dfs_from_a_weaker_seed(monkeypatch, q, extra):
+    # an AC seed of size t(q) + extra lowers the base size and makes both
+    # searches prove t(q) from a weaker upper bound
+    model = build_conic_model(q)
+    _, witness = exhaustive_min_ac(model)
+    witness += [t for t in model.params if t not in witness][:extra]
+    seed = search.SearchResult(q=q, size=len(witness), witness=witness, is_ac=True)
+    monkeypatch.setattr(search, "randomized_greedy", lambda *args, **kwargs: seed)
+    size, found = exhaustive_min_ac(model)
+    assert (size, found) == reference_min_ac(model)
+    assert size == EXACT_T[q] and is_minimal_ac(model, found)
+
+
 def test_witness_line_format():
     model = build_conic_model(5)
     res = randomized_greedy(model, seed=1, restarts=1, random_step_prob=0.0)
@@ -547,6 +569,15 @@ def test_canonical_8_bases_match_scalar_moebius_oracle(q):
     assert list(_canonical_bases(model, 8)) == oracle_canonical_bases(model, 8)
 
 
+@pytest.mark.parametrize("q", (8, 9, 11, 13))
+def test_canonical_bases_match_scalar_moebius_oracle_at_every_size(q):
+    # base sizes 3..min(q-3, 10): at q = 13, every size the rule
+    # k = min(max(3, g - 4), 10) and the sizes below it can reach at any q
+    model = build_conic_model(q)
+    for k in range(3, min(q - 3, 10) + 1):
+        assert list(_canonical_bases(model, k)) == oracle_canonical_bases(model, k), k
+
+
 # Number of canonical 6-point bases, recorded with the scalar canonicaliser.
 CANONICAL_BASE_COUNTS = {7: 1, 8: 1, 9: 2, 11: 4, 13: 5, 16: 8, 17: 10, 19: 13,
                          23: 22, 25: 28, 27: 34, 29: 42, 31: 51, 32: 53}
@@ -564,11 +595,15 @@ def test_canonical_base_counts_pinned():
 
 @pytest.mark.parametrize("q", MODEL_QS + [256])  # 256: inf needs uint16
 def test_cross_ratio_is_the_moebius_map_to_0_1_inf(q):
-    cross = _cross_ratio(field_for_order(q))
+    """The factors `_canonical_bases` multiplies, times[[t,x]/[t,z], [y,z]/[y,x]],
+    form the map sending (x, y, z) to (0, 1, inf), a permutation of the codes."""
+    ratio, times = _cross_ratio_factors(field_for_order(q))
     everything = list(range(q + 1))
     rng = random.Random(300 + q)
     for _ in range(20):
         x, y, z = rng.sample(everything, 3)
-        images = cross(np.arange(q + 1), x, y, z)
+        scale = ratio(y, z, x)
+        assert 0 < scale < q
+        images = times[ratio(np.arange(q + 1), x, z), scale]
         assert [images[x], images[y], images[z]] == [0, 1, q]
         assert sorted(images.tolist()) == everything
