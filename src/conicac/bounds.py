@@ -1,34 +1,42 @@
 """Upper bounds on the smallest AC-subset size t(q).
 
-Implicit bound A is an exact-integer recursion on worst-case uncovered
-counts; the remaining bounds are closed-form or short scans in binary64.
-Starred values divide a bound by sqrt(q ln q).  The scalar functions
-(`bound_a_trace`, `bound_b`, `bound_c_phi`, `theta`, `evaluate_bound`) are
-the reference; `curve_emit` evaluates each curve for a whole q-grid at once
-in numpy arrays, with the same values bit for bit.
+The array functions (`bound_a_values`, `bound_b_values`, `bound_c_values`,
+`theta_values`, dispatched by `bound_values`) are the one path for bound
+values: each evaluates its curve for a whole q-grid at once in numpy.
+Every one takes q through `_q_array`, which refuses q < 5 and q above
+BOUNDS_Q_MAX before any factoring.  Implicit bound A is an exact-integer
+recursion on worst-case uncovered counts; the remaining bounds are
+closed-form or short scans in binary64.  Starred values divide a bound by
+sqrt(q ln q).  The tests check every array bit for bit against a scalar
+reference: `bound_a_trace` and `bound_b` here, C and Theta in
+`tests/oracles.py`.
 
-`bound_a_values` runs the A recursion for a whole q-grid at once in int64
-numpy arrays: every q starts at w = 5, so one step advances all q still
-live, and a q leaves the live set in the step where its U drops to 0 or
-below.  Before each step it checks that (w-2) * max(U) fits in int64;
-when it would not, the q still live are finished with the Python-int
-`bound_a_trace`.  On the fig2 grid (q <= 1.4e7) the product peaks at
-4.4e17, under 5% of the int64 maximum; the guard first trips between
-q = 4.5e7 and 5e7.
+`bound_a_values` runs the A recursion in int64 arrays: every q starts at
+w = 5, so one step advances all q still live, and a q leaves the live set
+in the step where its U drops to 0 or below.  Before each step it checks
+that (w-2) * max(U) fits in int64; when it would not, the q still live
+are finished with the Python-int `bound_a_trace`, its int64-overflow
+fallback.  On the fig2 grid (q <= 1.4e7) the product peaks at 4.4e17,
+under 5% of the int64 maximum; the guard first trips between q = 4.5e7
+and 5e7.
 
 B, C and theta are binary64 expressions.  numpy's log can differ from
 `math.log` in the last bit (numpy 2.4 on x86-64: on 49 of the 910,714
 fig2 q for log q), so every log that enters a value is taken from
 `math.log`, one call per element, and numpy does only +, -, *, / and
-sqrt, in the scalar code's order; numpy rounds those exactly as Python
-does.  `bound_b_values` bisects every q at once with `bisect_left`'s own
-probe sequence, so each q visits the same w as `bound_b`.  A probe only
-compares lhs(w) with the target, so np.log decides it unless the two
+sqrt, in the order of the written formula; numpy rounds those exactly as
+Python does.  `bound_b_values` bisects every q at once with `bisect_left`'s
+own probe sequence, so each q visits the same w as `bound_b`.  A probe
+only compares lhs(w) with the target, so np.log decides it unless the two
 sides lie within B_LOG_SLACK (relative) of each other; such a probe is
-decided again with math.log.  Theta's Q1 test takes the exponent from
-the array factoring `gf.factor_prime_powers`.  `curve_emit` returns one
-row per feasible (q, name), q-major; `ac bounds` calls it once per chunk
-of q and writes each chunk's rows at once.
+decided again with math.log.  Theta's Q1 test takes the exponent from the
+array factoring `gf.factor_prime_powers`.  `curve_emit` returns one row
+per feasible (q, name), q-major; `ac bounds` calls it once per chunk of q
+and writes each chunk's rows at once.
+
+`bound_b` (with `default_xi`) and `evaluate_bound`, one q through
+`bound_values`, stay for the benchmark tracer in `perfbench/`, which wraps
+them by name.
 """
 
 from __future__ import annotations
@@ -36,13 +44,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .gf import factor_prime_power, factor_prime_powers, primes_up_to
 
-# largest q that `ac bounds` and `theta` take; keeps the trial division bounded
+# largest q the array bounds take; keeps the trial division bounded
 BOUNDS_Q_MAX = 10 ** 10
 
 
@@ -56,24 +63,15 @@ def _logs(x: np.ndarray) -> np.ndarray:
 
 
 def _q_array(qs) -> np.ndarray:
-    q = np.asarray(qs, dtype=np.int64)
+    """qs as an int64 array; ValueError for q < 5 or q > BOUNDS_Q_MAX.
+    The limits are checked before the conversion, so no q is too large
+    for int64 or for the trial division that follows."""
+    q = np.asarray(qs)
     if q.size and q.min() < 5:
         raise ValueError("q must be >= 5")
-    return q
-
-
-def is_prime_power(q: int) -> bool:
-    return factor_prime_power(q) is not None
-
-
-def _q1(q: int, pm) -> bool:
-    """`in_q1` for a q already factored: pm = factor_prime_power(q)."""
-    return pm is not None and pm[1] >= 2 and 8 <= q <= 139129
-
-
-def in_q1(q: int) -> bool:
-    """Non-prime prime powers 8 <= q <= 139129."""
-    return _q1(q, factor_prime_power(q))
+    if q.size and q.max() > BOUNDS_Q_MAX:
+        raise ValueError(f"q={q[q > BOUNDS_Q_MAX][0]} is above the bounds limit {BOUNDS_Q_MAX}")
+    return q.astype(np.int64)
 
 
 # --- implicit bound A -----------------------------------------------------
@@ -117,9 +115,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def bound_a_values(qs) -> list[int | None]:
     """`bound_a_trace(q).bound` for every q in qs, in the order given,
     computed for all distinct q at once in int64 arrays."""
-    uniq, inverse = np.unique(np.asarray(qs, dtype=np.int64), return_inverse=True)
-    if uniq.size and uniq[0] < 5:
-        raise ValueError("q must be >= 5")
+    uniq, inverse = np.unique(_q_array(qs), return_inverse=True)
     values = np.zeros(uniq.size, dtype=np.int64)  # 0: no bound (q = 5)
     live = np.flatnonzero(uniq > 5)
     q = uniq[live]
@@ -142,37 +138,6 @@ def bound_a_values(qs) -> list[int | None]:
 
 
 # --- truncated process and bound B ---------------------------------------
-
-def _f_q_logs(q: int):
-    """log f_q(w) for w = 1, 2, ...: running sums of log(1 - (i-2)/(q+1-i))."""
-    total = 0.0
-    for i in range(1, q + 1):
-        factor = 1.0 - (i - 2) / (q + 1 - i)
-        if factor <= 0:
-            raise ValueError(f"nonpositive factor at i={i} (w too large)")
-        total += math.log(factor)
-        yield total
-
-
-def f_q_log(q: int, w: int) -> float:
-    """Natural log of the product prod_{i=1..w} (1 - (i-2)/(q+1-i))."""
-    if not 1 <= w < q + 1:
-        raise ValueError("need 1 <= w < q+1")
-    return next(islice(_f_q_logs(q), w - 1, None))
-
-
-def bound_theorem32(q: int, xi: float):
-    """Smallest w < (q+3)/2 with log f_q(w) <= log(xi/q^2); bound w+1+xi.
-    Returns None when no admissible w exists."""
-    if xi < 1:
-        raise ValueError("xi must be >= 1")
-    target = math.log(xi) - 2 * math.log(q)
-    w_max = (q + 2) // 2  # largest integer < (q+3)/2
-    for w, log_f in zip(range(1, w_max + 1), _f_q_logs(q)):
-        if log_f <= target:
-            return w, w + 1 + xi
-    return None
-
 
 def default_xi(q: int) -> float:
     return math.sqrt(q / (3 * math.log(q)))
@@ -242,56 +207,21 @@ def bound_b_values(qs) -> tuple[np.ndarray, np.ndarray]:
 
 # --- explicit bounds ------------------------------------------------------
 
-def bound_c_phi(q: int) -> float:
-    """Phi(q) = sqrt(q (3 ln q + ln ln q + ln 3)) + sqrt(q / (3 ln q)) + 4."""
-    if q < 5:
-        raise ValueError("q must be >= 5")
-    lnq = math.log(q)
-    return math.sqrt(q * (3 * lnq + math.log(lnq) + math.log(3))) + math.sqrt(q / (3 * lnq)) + 4
-
-
 def _phi(qf: np.ndarray, lq: np.ndarray) -> np.ndarray:
-    """`bound_c_phi` from q and log q as float arrays."""
+    """Phi(q) = sqrt(q (3 ln q + ln ln q + ln 3)) + sqrt(q / (3 ln q)) + 4
+    from q and log q as float arrays."""
     return np.sqrt(qf * (3 * lq + _logs(lq) + math.log(3))) + np.sqrt(qf / (3 * lq)) + 4
 
 
 def bound_c_values(qs) -> np.ndarray:
-    """`bound_c_phi(q)` for every q of qs."""
+    """Bound C, Phi(q), for every q of qs."""
     qf = _q_array(qs).astype(np.float64)
     return _phi(qf, _logs(qf))
 
 
-def bound_theorem34(q: int, xi: float) -> float:
-    """sqrt(2q) sqrt(ln(q^2/xi)) + xi + 4 for arbitrary xi >= 1."""
-    if xi < 1:
-        raise ValueError("xi must be >= 1")
-    if xi > q * q:
-        raise ValueError("xi > q^2: log domain")
-    return math.sqrt(2 * q) * math.sqrt(2 * math.log(q) - math.log(xi)) + xi + 4
-
-
-def theta(q: int) -> float:
-    """Piecewise best bound Theta(q); defined for prime powers q >= 5."""
-    if q < 5:
-        raise ValueError("q must be >= 5")
-    if q > BOUNDS_Q_MAX:
-        raise ValueError(f"q={q} is above the bounds limit {BOUNDS_Q_MAX}")
-    pm = factor_prime_power(q)
-    if pm is None:
-        raise ValueError(f"q={q} is not a prime power")
-    s = sqrt_qlnq(q)
-    candidates = [min(1.835 * s, bound_c_phi(q))]
-    if 8 <= q <= 17041:
-        candidates.append(1.62 * s)
-    if 17041 < q <= 33013:
-        candidates.append(1.635 * s)
-    if _q1(q, pm):
-        candidates.append(1.674 * s)
-    return min(candidates)
-
-
 def theta_values(qs) -> np.ndarray:
-    """`theta(q)` for every q of qs; ValueError unless every q is a prime power."""
+    """Piecewise best bound Theta(q) for every q of qs; ValueError unless
+    every q is a prime power."""
     q = _q_array(qs)
     _, m = factor_prime_powers(q)
     if not m.all():
@@ -330,7 +260,7 @@ def theorem41_bound(q: int):
         coefs.append(1.620)
     if 17041 < q <= 33013 or q == 7:
         coefs.append(1.635)
-    if _q1(q, pm):
+    if pm[1] >= 2 and 8 <= q <= 139129:  # Q1
         coefs.append(1.674)
     if q in _THEOREM41_EXTRA_Q:
         coefs.append(1.686)
@@ -347,22 +277,13 @@ BOUND_NAMES = ("A", "B", "C", "theta")
 
 def evaluate_bound(name: str, q: int):
     """Bound value for one prime power q >= 5, or None where it is infeasible."""
-    if name == "A":
-        bound = bound_a_trace(q).bound
-        return float(bound) if bound is not None else None
-    if name == "B":
-        res = bound_b(q)
-        return res[1] if res is not None else None
-    if name == "C":
-        return bound_c_phi(q)
-    if name == "theta":
-        return theta(q)
-    raise ValueError(f"unknown bound name {name!r}")
+    value = float(bound_values(name, [q])[0])
+    return None if math.isnan(value) else value
 
 
 def bound_values(name: str, qs) -> np.ndarray:
-    """`evaluate_bound(name, q)` for every q of qs as a float array, nan
-    where the bound is infeasible."""
+    """Bound `name` (one of BOUND_NAMES) for every q of qs as a float
+    array, nan where the bound is infeasible."""
     if name == "A":
         return np.array([np.nan if a is None else a for a in bound_a_values(qs)],
                         dtype=np.float64)

@@ -179,18 +179,6 @@ class ConicModel:
             flags[self.bisecants(t1, [t2])] = True
         return pack_mask(flags)
 
-    def classify_point(self, P) -> str:
-        """Kind of the point P (any nonzero triple): on-conic, nucleus,
-        m-even, or, for odd q, external or internal (see the module docstring)."""
-        ctx = self.ctx
-        x0, x1, x2 = P
-        disc = ctx.sub(ctx.mul(x1, x1), ctx.mul(x0, x2))
-        if disc == 0:
-            return "on-conic"
-        if self.q % 2 == 0:
-            return "nucleus" if x0 == x2 == 0 else "m-even"
-        return "external" if ctx.pow(disc, (self.q - 1) // 2) == 1 else "internal"
-
 
 @lru_cache(maxsize=1)  # one sigma_P(t) table alive at a time: it is O(q^3)
 def build_conic_model(q: int) -> ConicModel:

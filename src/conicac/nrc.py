@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import pg_points
 from .gf import FieldCtx, field_tables, is_prime, primes_up_to  # is_prime: re-exported
-from .bounds import theta
+from .bounds import theta_values
 
 COMPLETENESS_GUARD = 10 ** 8  # refuse instances with q^N beyond this
 PRIME_BLOCK = 1 << 15  # odd numbers per block of the `_odd_primes` sieve
@@ -206,5 +206,5 @@ def completeness_brute(arc: NrcArc):
 
 def corollary11_range(q: int):
     """Integer N-range [3, floor(q+2-Theta(q))] or None when empty."""
-    hi = math.floor(q + 2 - theta(q))
+    hi = math.floor(q + 2 - theta_values([q])[0])
     return (3, hi) if hi >= 3 else None

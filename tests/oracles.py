@@ -4,17 +4,25 @@ They answer questions the library itself never asks: the coordinates of
 the M-points, the M-points of one bisecant, the coverage of a subset as a
 bitset, the covered set and the gain of every candidate of a
 `CoverageState`, a closed-form sigma_P(t) that needs no table, the
-exhaustive search with the plain DFS, and the arc test by (N+1)-minors.
+exhaustive search with the plain DFS, the arc test by (N+1)-minors, and
+the kind of a point of PG(2,q) by its discriminant.
+
+They also hold the scalar bound curves, one q at a time in plain Python
+floats: bound C (Phi), Theta and its Q1 test, the truncated product f_q
+with the Theorem 3.2 scan, and the Theorem 3.4 family.  The library
+evaluates B, C and Theta only as arrays, in `conicac.bounds`; the tests
+check those arrays against `scalar_bound` bit for bit.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from conicac import search
+from conicac.bounds import bound_a_trace, bound_b, sqrt_qlnq
 from conicac.geometry import pack_mask, pg_points
-from conicac.gf import field_tables
+from conicac.gf import factor_prime_power, field_tables
 from conicac.search import _covered_flags
 
 
@@ -166,3 +174,110 @@ def is_arc(points, n_dim: int, ctx) -> bool:
         if _det(ctx, sub) == 0:
             return False
     return True
+
+
+def classify_point(model, P) -> str:
+    """Kind of the point P (any nonzero triple): on-conic, nucleus, m-even,
+    or, for odd q, external or internal as x1^2 - x0*x2 is a nonzero
+    square or a non-square."""
+    ctx, q = model.ctx, model.q
+    x0, x1, x2 = P
+    disc = ctx.sub(ctx.mul(x1, x1), ctx.mul(x0, x2))
+    if disc == 0:
+        return "on-conic"
+    if q % 2 == 0:
+        return "nucleus" if x0 == x2 == 0 else "m-even"
+    return "external" if ctx.pow(disc, (q - 1) // 2) == 1 else "internal"
+
+
+# --- scalar bound curves --------------------------------------------------
+
+def is_prime_power(q: int) -> bool:
+    return factor_prime_power(q) is not None
+
+
+def in_q1(q: int) -> bool:
+    """Non-prime prime powers 8 <= q <= 139129."""
+    pm = factor_prime_power(q)
+    return pm is not None and pm[1] >= 2 and 8 <= q <= 139129
+
+
+def _f_q_logs(q: int):
+    """log f_q(w) for w = 1, 2, ...: running sums of log(1 - (i-2)/(q+1-i))."""
+    total = 0.0
+    for i in range(1, q + 1):
+        factor = 1.0 - (i - 2) / (q + 1 - i)
+        if factor <= 0:
+            raise ValueError(f"nonpositive factor at i={i} (w too large)")
+        total += math.log(factor)
+        yield total
+
+
+def f_q_log(q: int, w: int) -> float:
+    """Natural log of the product prod_{i=1..w} (1 - (i-2)/(q+1-i))."""
+    if not 1 <= w < q + 1:
+        raise ValueError("need 1 <= w < q+1")
+    return next(islice(_f_q_logs(q), w - 1, None))
+
+
+def bound_theorem32(q: int, xi: float):
+    """Smallest w < (q+3)/2 with log f_q(w) <= log(xi/q^2); bound w+1+xi.
+    Returns None when no admissible w exists."""
+    if xi < 1:
+        raise ValueError("xi must be >= 1")
+    target = math.log(xi) - 2 * math.log(q)
+    w_max = (q + 2) // 2  # largest integer < (q+3)/2
+    for w, log_f in zip(range(1, w_max + 1), _f_q_logs(q)):
+        if log_f <= target:
+            return w, w + 1 + xi
+    return None
+
+
+def bound_c_phi(q: int) -> float:
+    """Phi(q) = sqrt(q (3 ln q + ln ln q + ln 3)) + sqrt(q / (3 ln q)) + 4."""
+    if q < 5:
+        raise ValueError("q must be >= 5")
+    lnq = math.log(q)
+    return math.sqrt(q * (3 * lnq + math.log(lnq) + math.log(3))) + math.sqrt(q / (3 * lnq)) + 4
+
+
+def bound_theorem34(q: int, xi: float) -> float:
+    """sqrt(2q) sqrt(ln(q^2/xi)) + xi + 4 for arbitrary xi >= 1."""
+    if xi < 1:
+        raise ValueError("xi must be >= 1")
+    if xi > q * q:
+        raise ValueError("xi > q^2: log domain")
+    return math.sqrt(2 * q) * math.sqrt(2 * math.log(q) - math.log(xi)) + xi + 4
+
+
+def theta(q: int) -> float:
+    """Piecewise best bound Theta(q); defined for prime powers q >= 5."""
+    if q < 5:
+        raise ValueError("q must be >= 5")
+    if factor_prime_power(q) is None:
+        raise ValueError(f"q={q} is not a prime power")
+    s = sqrt_qlnq(q)
+    candidates = [min(1.835 * s, bound_c_phi(q))]
+    if 8 <= q <= 17041:
+        candidates.append(1.62 * s)
+    if 17041 < q <= 33013:
+        candidates.append(1.635 * s)
+    if in_q1(q):
+        candidates.append(1.674 * s)
+    return min(candidates)
+
+
+def scalar_bound(name: str, q: int):
+    """Bound `name` at one prime power q >= 5 from the scalar curves, or
+    None where it is infeasible."""
+    if name == "A":
+        bound = bound_a_trace(q).bound
+        return float(bound) if bound is not None else None
+    if name == "B":
+        res = bound_b(q)
+        return res[1] if res is not None else None
+    if name == "C":
+        return bound_c_phi(q)
+    if name == "theta":
+        return theta(q)
+    raise ValueError(f"unknown bound name {name!r}")

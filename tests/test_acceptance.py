@@ -6,14 +6,14 @@ import random
 from contextlib import contextmanager
 from itertools import combinations
 
-from conicac.bounds import bound_a_trace, bound_c_phi, sqrt_qlnq
+from conicac.bounds import bound_a_trace, sqrt_qlnq
 from conicac.geometry import build_conic_model
 from conicac.gf import field_for_order
 from conicac.nrc import completeness_brute, is_prime, nrc_points, p0_solve
 from conicac.search import CoverageState, exhaustive_min_ac, randomized_greedy
 from conicac.tables import (EXACT_T, KNOWN_TBAR_SAMPLE, embedded_table2_rows,
                             verify_rows)
-from oracles import bisecant_mpoints, coverage_mask, covered, is_arc, m_coords
+from oracles import bisecant_mpoints, bound_c_phi, coverage_mask, covered, is_arc, m_coords
 
 EXACT_FAST_QS = (5, 7, 8, 9, 11, 13)   # the rest of EXACT_T takes seconds to
                                        # minutes (see README), so it is left out

@@ -6,19 +6,21 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conicac import bounds
 from conicac.bounds import (BOUNDS_Q_MAX, bound_a_trace, bound_a_values, bound_b,
-                            bound_b_values, bound_c_phi, bound_c_values,
-                            bound_theorem32, bound_theorem34, bound_values,
-                            curve_emit, default_xi, evaluate_bound, f_q_log,
-                            in_q1, is_prime_power, prime_powers_up_to,
-                            sqrt_qlnq, theorem41_bound, theta, theta_values)
+                            bound_b_values, bound_c_values, bound_values,
+                            curve_emit, default_xi, evaluate_bound,
+                            prime_powers_up_to, sqrt_qlnq, theorem41_bound,
+                            theta_values)
 from conicac.cli import FIG_GRIDS
 from conicac.gf import factor_prime_power
 from conicac.nrc import is_prime
 from conicac.tables import EXACT_T
+from oracles import (bound_c_phi, bound_theorem32, bound_theorem34, f_q_log, in_q1,
+                     is_prime_power, scalar_bound, theta)
 
 
 def sample_prime_powers(lo, hi, count):
@@ -220,11 +222,11 @@ def test_bound_b_large_q_sandwiched():
 # --- explicit bounds ------------------------------------------------------
 
 def test_phi_values():
-    assert abs(bound_c_phi(5) - 10.68) < 0.01
-    star = bound_c_phi(12755807) / sqrt_qlnq(12755807)
+    assert abs(bound_c_values([5])[0] - 10.68) < 0.01
+    star = bound_c_values([12755807])[0] / sqrt_qlnq(12755807)
     assert star < 1.835
     with pytest.raises(ValueError):
-        bound_c_phi(4)
+        bound_c_values([4])
 
 
 def test_phi_star_eventually_decreasing():
@@ -280,50 +282,54 @@ def test_combined_star_below_1835():
 
 
 def test_theta_branches():
-    s101 = sqrt_qlnq(101)
-    assert math.isclose(theta(101), 1.62 * s101, rel_tol=1e-12)
-    assert math.isclose(theta(128), 1.62 * sqrt_qlnq(128), rel_tol=1e-12)
-    assert math.isclose(theta(32003), 1.635 * sqrt_qlnq(32003), rel_tol=1e-12)
-    assert math.isclose(theta(139129), 1.674 * sqrt_qlnq(139129), rel_tol=1e-12)
-    # far out, the explicit branch takes over
     big = 2 ** 31 - 1
-    assert math.isclose(theta(big), min(1.835 * sqrt_qlnq(big), bound_c_phi(big)),
+    got = dict(zip((101, 128, 32003, 139129, big),
+                   theta_values([101, 128, 32003, 139129, big]).tolist()))
+    assert math.isclose(got[101], 1.62 * sqrt_qlnq(101), rel_tol=1e-12)
+    assert math.isclose(got[128], 1.62 * sqrt_qlnq(128), rel_tol=1e-12)
+    assert math.isclose(got[32003], 1.635 * sqrt_qlnq(32003), rel_tol=1e-12)
+    assert math.isclose(got[139129], 1.674 * sqrt_qlnq(139129), rel_tol=1e-12)
+    # far out, the explicit branch takes over
+    assert math.isclose(got[big], min(1.835 * sqrt_qlnq(big), bound_c_phi(big)),
                         rel_tol=1e-12)
     with pytest.raises(ValueError):
-        theta(100)
+        theta_values([100])
     with pytest.raises(ValueError):
-        theta(4)
+        theta_values([4])
 
 
 def test_theta_refuses_q_above_the_limit_before_factoring(monkeypatch):
-    def no_factoring(q):
+    def no_factoring(qs):
         raise AssertionError("q factored above the limit")
 
-    monkeypatch.setattr(bounds, "factor_prime_power", no_factoring)
-    for q in (BOUNDS_Q_MAX + 19, 1000000000000000003):
-        with pytest.raises(ValueError, match=f"above the bounds limit {BOUNDS_Q_MAX}"):
-            theta(q)
+    monkeypatch.setattr(bounds, "factor_prime_powers", no_factoring)
+    for qs in ([BOUNDS_Q_MAX + 19], [7, 1000000000000000003], [10 ** 20]):
+        with pytest.raises(ValueError, match=f"q={qs[-1]} is above the bounds limit {BOUNDS_Q_MAX}"):
+            theta_values(qs)
 
 
 def test_theta_dominates_exact_minimum():
-    for q, t in EXACT_T.items():
-        if q >= 8:
-            assert t < theta(q)
+    qs = [q for q in EXACT_T if q >= 8]
+    assert all(t < th for t, th in zip(map(EXACT_T.get, qs), theta_values(qs)))
 
 
-@pytest.mark.parametrize("fn", [theta, theorem41_bound])
-def test_theta_and_theorem41_factor_q_once(monkeypatch, fn):
+@pytest.mark.parametrize("fn, factor", [
+    pytest.param(lambda q: theta_values([q]), "factor_prime_powers", id="theta"),
+    pytest.param(theorem41_bound, "factor_prime_power", id="theorem41_bound"),
+])
+def test_theta_and_theorem41_factor_q_once(monkeypatch, fn, factor):
     calls = []
+    orig = getattr(bounds, factor)
 
     def counted(q):
-        calls.append(q)
-        return factor_prime_power(q)
+        calls.append(np.ravel(q).tolist())
+        return orig(q)
 
-    monkeypatch.setattr(bounds, "factor_prime_power", counted)
+    monkeypatch.setattr(bounds, factor, counted)
     for q in (7, 11, 128, 139129):
         calls.clear()
         fn(q)
-        assert calls == [q]
+        assert calls == [[q]]
 
 
 def test_theorem41_examples():
@@ -377,9 +383,11 @@ def test_bound_b_values_math_log_path(monkeypatch):
 
 
 def test_array_bounds_input_validation():
-    for fn in (bound_b_values, bound_c_values, theta_values):
-        with pytest.raises(ValueError):
+    for fn in (bound_a_values, bound_b_values, bound_c_values, theta_values):
+        with pytest.raises(ValueError, match="q must be >= 5"):
             fn([7, 4])
+        with pytest.raises(ValueError, match=f"q={BOUNDS_Q_MAX + 19} is above the bounds limit"):
+            fn([7, BOUNDS_Q_MAX + 19])
     assert bound_b_values([])[0].size == bound_c_values([]).size == theta_values([]).size == 0
     with pytest.raises(ValueError, match="q=100 is not a prime power"):
         theta_values([7, 100, 11])
@@ -390,14 +398,20 @@ def test_array_bounds_input_validation():
 # --- emission helpers -----------------------------------------------------
 
 def test_evaluate_bound():
-    assert evaluate_bound("A", 11) == 8.0
-    assert evaluate_bound("A", 5) is None
-    assert evaluate_bound("B", 9) is None
-    with pytest.raises(ValueError):
-        evaluate_bound("theta", 100)  # not a prime power
-    assert math.isclose(evaluate_bound("C", 101), bound_c_phi(101), rel_tol=0)
-    with pytest.raises(ValueError):
-        evaluate_bound("Z", 11)
+    """One q through `bound_values` equals the scalar curve bit for bit,
+    None where the bound is infeasible: A at q = 5, B up to q = 41."""
+    for q in (5, 7, 41, 43, 121, 128, 49999):
+        for name in ("A", "B", "C", "theta"):
+            got = evaluate_bound(name, q)
+            assert got == scalar_bound(name, q), (name, q)
+            assert got is None or type(got) is float
+    assert evaluate_bound("A", 5) is None and evaluate_bound("A", 7) == 6.0
+    assert evaluate_bound("B", 41) is None and evaluate_bound("B", 43) is not None
+    for name, q in (("theta", 100), ("B", 4), ("Z", 11)):  # not a prime power, q < 5, no such bound
+        with pytest.raises(ValueError):
+            evaluate_bound(name, q)
+        with pytest.raises(ValueError):
+            scalar_bound(name, q)
 
 
 def test_curve_emit_rows():
@@ -411,8 +425,8 @@ def test_curve_emit_rows():
     assert rows == []
     # q-major in the order given, duplicates kept, q = 5 has no A row
     grid, names = [11, 5, 7, 11], ["A", "C"]
-    want = [(q, n, evaluate_bound(n, q)) for q in grid for n in names
-            if evaluate_bound(n, q) is not None]
+    want = [(q, n, scalar_bound(n, q)) for q in grid for n in names
+            if scalar_bound(n, q) is not None]
     assert [r[:3] for r in curve_emit(grid, names)] == want
 
 

@@ -340,6 +340,23 @@ def test_verify_csv_failure(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_rows_that_theta_refuses_fail_alone(tmp_path, capsys):
+    """A row with q < 5 or q not a prime power fails with Theta's reason and
+    gets no star check; every other row keeps its verdict."""
+    path = tmp_path / "t.csv"
+    path.write_text("q,tbar,tstar\n1,3,1.0\n0,3,1.0\n4,3,1.0\n100,20,1.3\n49,18,1.31\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == cli.EXIT_FAIL and err == ""
+    assert out.splitlines() == [
+        "q=1 tbar=3 FAIL: q must be >= 5",
+        "q=0 tbar=3 FAIL: q must be >= 5",
+        "q=4 tbar=3 FAIL: q must be >= 5",
+        "q=100 tbar=20 FAIL: q=100 is not a prime power",
+        "q=49 tbar=18 ok",
+        f"{path}: 1/5 rows pass",
+    ]
+
+
 def test_verify_csv_malformed(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("q,tbar\n49,xyz\n")
@@ -383,6 +400,10 @@ def test_nrc_usage_errors(capsys):
     assert code == cli.EXIT_USAGE and "prime power" in err
     code, _, err = run(capsys, "nrc", "--complete", "31", "8")
     assert code == cli.EXIT_USAGE and "too large" in err
+    code, _, err = run(capsys, "nrc", "--range", "4")
+    assert code == cli.EXIT_USAGE and err == "error: q must be >= 5\n"
+    code, _, err = run(capsys, "nrc", "--range", "6")
+    assert code == cli.EXIT_USAGE and err == "error: q=6 is not a prime power\n"
 
 
 @pytest.mark.parametrize("q, n", [(1000003, 2), (10007, 10000)])

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conicac.bounds import prime_powers_up_to
 from conicac.geometry import build_conic_model, canon_point, pg_points
 from conicac import nrc
 from conicac.gf import factor_prime_power, field_for_order
@@ -11,7 +12,7 @@ from conicac.nrc import (P0_PERSISTENCE, P0_REL_TOL, NrcArc, P0Entry, _c_schedul
                          _odd_primes, _p0_margin, completeness_brute, corollary11_range,
                          gdrs_generator, is_prime, nrc_points, p0_solve)
 from conicac.tables import EXACT_T
-from oracles import is_arc
+from oracles import is_arc, theta
 
 P0_DEFAULT = {
     1: 757, 2: 1399, 3: 2129, 4: 2887, 5: 3623, 6: 4621, 7: 5417, 8: 6247,
@@ -315,6 +316,14 @@ def test_corollary_range_examples():
     assert corollary11_range(9) == (3, 3)
     assert corollary11_range(5) is None
     assert corollary11_range(7) is None
+
+
+def test_corollary_range_matches_scalar_theta():
+    """The range from `theta_values` equals the one from the scalar Theta
+    for every prime power up to 20000."""
+    for q in prime_powers_up_to(20000):
+        hi = math.floor(q + 2 - theta(q))
+        assert corollary11_range(q) == ((3, hi) if hi >= 3 else None), q
 
 
 def test_corollary_range_within_exact_range():
