@@ -23,11 +23,28 @@ matrix [[x1, -x2], [x0, -x1]]; its fixed points are the t whose tangent
 passes through P.  They are the roots of x0*t^2 - 2*x1*t + x2 (plus inf
 when x0 = 0): two, none or one, as x1^2 - x0*x2 is a nonzero square, a
 non-square or q is even, which names P external, internal or m-even.  The
-model stores sigma_P(t) for every t and every M-point in a (q+1) x |M_q|
-table derived from `bisecants`: row t holds s on the M-points of each
-bisecant {t, s}, and the tangent sentinel q+1 on the rest, the M-points of
-the tangent at t.  `ConicModel.sigma` is its one reader.  The tangent at t
-is read off (x - t)^2: the line [t^2, -2t, 1], and [1, 0, 0] at inf.
+tangent at t is read off (x - t)^2: the line [t^2, -2t, 1], and [1, 0, 0]
+at inf.
+
+`ConicModel.sigma` evaluates sigma_P(t) in closed form from O(q^2)
+tables.  For P = (1,y,z) put D = y^2 - z, nonzero off the conic; then
+sigma_P(t) = y + D/(t - y), which is inf at t = y and y at t = inf.  For
+P = (0,1,z), sigma_P(t) = z - t: the same form with base z, D = 1 and
+D/(t - c) read as -t.  With n = q - 1 and the power of two W >= 4n, each
+M-point has one integer key in `ConicModel.key`,
+
+    key = row*W + n + log D,   row = y for (1,y,z) and q + z for (0,1,z),
+
+and sigma_P(t) = ADDEXP[key - LSUB[t, key >> log2 W]] in the flattened
+2q x W table ADDEXP.  LSUB[t, row] is log(t - y) on the rows y and
+log(-1/t) on the rows q + z, in [0, n), so that j = n + log D - LSUB lies
+in [0, 2n) and entry j of ADDEXP row y or q + z holds base + alpha^(j - n)
+= base + D/(t - c).  Two sentinels of LSUB move j past 2n: -n where
+D/(t - c) is 0 (t = inf on the rows y, t = 0 on the rows q + z) into the
+band [2n, 3n) that holds the base, and -2n where sigma_P(t) is inf (t = y,
+and t = inf on the rows q + z) into the band [3n, 4n) that holds inf.
+A fixed point needs no sentinel: sigma_P(t) = t there, and the search only
+counts sigma values that are chosen parameters, which t is once added.
 """
 
 from __future__ import annotations
@@ -36,7 +53,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError, field_for_order, field_tables
+from .gf import (FieldCtx, FieldError, check_field_size, field_for_order, field_tables,
+                 log_tables)
 
 
 def canon_point(ctx: FieldCtx, triple) -> tuple[int, int, int]:
@@ -112,15 +130,36 @@ class ConicModel:
         # field tables, which holds every M-index and z*q while q^2 + q < 2^31
         self._row_start = (q - self._even + np.arange(q) * (q - 1)).astype(np.int32)
 
-        # sigma_P(t) = s on the bisecant {t, s}; the points left in row t lie
-        # on the tangent at t and keep the tangent code q+1
-        dtype = np.int16 if q + 2 <= np.iinfo(np.int16).max else np.int32
-        self._partner = np.full((q + 1, self.m_size), q + 1, dtype=dtype)
-        params = np.arange(q + 1)
-        for t in self.params:
-            others = np.delete(params, t)
-            self._partner[t, self.bisecants(t, others)] = np.repeat(others, q - 1)
-        self._partner.flags.writeable = False
+        # sigma_P(t) in closed form: the keys and tables of the module docstring
+        n = q - 1
+        exp, log, _ = log_tables(ctx)
+        self._shift = shift = (4 * n - 1).bit_length()  # W = 2^shift >= 4n
+        rows = np.arange(q, dtype=np.intp)
+        self.key = np.empty(self.m_size, dtype=np.intp)
+        self.key[:q - self._even] = ((q + rows[self._even:]) << shift) + n  # (0, 1, z)
+        affine = self.key[q - self._even:].reshape(q, n)  # (1, y, z), z != y^2 ascending
+        d = add.take(self._square, axis=0).take(neg, axis=1)  # y^2 - z at [y, z]
+        affine[:] = log.take(d[d != 0]).reshape(q, n)
+        affine += (rows[:, None] << shift) + n
+        del d  # a q x q temporary: gone before the tables below are built
+
+        self._lsub = np.empty((q + 1, 2 * q), dtype=np.min_scalar_type(-2 * n))
+        self._lsub[:q, :q] = log.take(add.take(neg, axis=1))  # log(t - y)
+        self._lsub[rows, rows] = -2 * n  # t = y: inf
+        self._lsub[q, :q] = -n  # t = inf: y
+        self._lsub[:q, q:] = ((log[neg[1]] - log) % n)[:, None]  # log(-1/t)
+        self._lsub[0, q:] = -n  # t = 0: z
+        self._lsub[q, q:] = -2 * n  # t = inf: inf
+
+        addexp = np.empty((2 * q, 1 << shift), dtype=np.min_scalar_type(q))
+        addexp[:q, :n] = add.take(exp[:n], axis=1)  # base + alpha^j
+        addexp[:q, n:2 * n] = addexp[:q, :n]  # alpha^n = 1
+        addexp[:q, 2 * n:3 * n] = rows[:, None]
+        addexp[:q, 3 * n:] = q
+        addexp[q:] = addexp[:q]
+        self._addexp = addexp.ravel()
+        for table in (self.key, self._lsub, self._addexp):
+            table.flags.writeable = False
 
     # --- queries ----------------------------------------------------------
 
@@ -135,11 +174,12 @@ class ConicModel:
             raise ValueError(f"parameter {s} out of range for q={self.q}")
         return t
 
-    def sigma(self, t, idx) -> np.ndarray:
-        """sigma_P(t) for the M-points P of the index array idx, q+1 where P
-        lies on the tangent at t.  t is a parameter code or an integer column
-        that broadcasts against idx, one row per code."""
-        return self._partner.take(np.multiply(t, self.m_size) + idx)
+    def sigma(self, t, key) -> np.ndarray:
+        """sigma_P(t) for the M-points P of the key array `key`, t where t is a
+        fixed point of sigma_P.  t is a parameter code, or a 1-D array of
+        codes that gives one row per code."""
+        lsub = self._lsub.take(t, axis=0).take(key >> self._shift, axis=-1)
+        return self._addexp.take(key - lsub)
 
     def m_index(self, x0, x1, x2) -> np.ndarray:
         """M-index of the canonical M-points with coordinate arrays x0, x1, x2,
@@ -180,9 +220,22 @@ class ConicModel:
         return pack_mask(flags)
 
 
-@lru_cache(maxsize=1)  # one sigma_P(t) table alive at a time: it is O(q^3)
+# The largest q whose model `build_conic_model` builds.  `ac search 4096
+# --restarts 1` took 45 s at 856 MB peak RSS on a 2-vCPU VM (4049: 47 s,
+# 841 MB).  The field tables and ADDEXP grow as q^2: q = 2^15 would ask for
+# several GB per table.
+MODEL_MAX_Q = 4096
+
+
+# Kept although the model is O(q^2): worker processes look the model up by
+# q instead of unpickling it, and the benchmark calls `cache_clear` before
+# every operation.
+@lru_cache(maxsize=1)
 def build_conic_model(q: int) -> ConicModel:
     try:
+        check_field_size(q)  # a q past the field tables is refused as by every command
+        if q > MODEL_MAX_Q:
+            raise ValueError(f"q={q} exceeds the conic model limit {MODEL_MAX_Q}")
         ctx = field_for_order(q)
     except FieldError as e:
         raise ValueError(str(e)) from e

@@ -125,7 +125,7 @@ def _generator_powers(p: int, m: int, modulus) -> np.ndarray:
     raise FieldError(f"no multiplicative generator found for q={q}")
 
 
-def _check_field_size(q: int) -> None:
+def check_field_size(q: int) -> None:
     if q > FIELD_MAX_Q:
         raise FieldError(f"q={q} exceeds the table-backed field limit {FIELD_MAX_Q}")
 
@@ -139,7 +139,7 @@ class FieldCtx:
         if m < 1:
             raise FieldError(f"m={m} must be >= 1")
         q = p ** m
-        _check_field_size(q)
+        check_field_size(q)
         self.p = p
         self.m = m
         self.q = q
@@ -193,13 +193,20 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, m={self.m})"
 
 
+def log_tables(ctx: FieldCtx):
+    """The lookup tables of `ctx` as int32 arrays (q <= 2^20, logs below
+    2^22): exp, with exp[i] = alpha^(i mod (q-1)) below 2(q-1) and 0 from
+    there on; log, with log[0] the sentinel 2(q-1); and zech."""
+    return tuple(np.array(t, dtype=np.int32) for t in (ctx._exp, ctx._log, ctx._zech))
+
+
 def field_tables(ctx: FieldCtx):
-    """The field as int32 arrays (q <= 2^20, logs below 2^22): q x q
-    addition and multiplication tables, and the length-q negation and
-    inverse tables (inv[0] = 0).  Each entry is the scalar method's
-    lookup, done for all elements at once."""
+    """The field as int32 arrays: q x q addition and multiplication
+    tables, and the length-q negation and inverse tables (inv[0] = 0).
+    Each entry is the scalar method's lookup, done for all elements at
+    once."""
     q, n = ctx.q, ctx._n
-    exp, log, zech = (np.array(t, dtype=np.int32) for t in (ctx._exp, ctx._log, ctx._zech))
+    exp, log, zech = log_tables(ctx)
     la, lb = log[:, None], log[None, :]
     mul = exp[la + lb]
     add = exp[la + zech.take(lb - la, mode="wrap")]  # wrap: index mod n
@@ -275,7 +282,7 @@ def factor_prime_powers(qs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def field_for_order(q: int) -> FieldCtx:
-    _check_field_size(q)  # before the trial division, which takes sqrt(q) steps
+    check_field_size(q)  # before the trial division, which takes sqrt(q) steps
     pm = factor_prime_power(q)
     if pm is None:
         raise FieldError(f"q={q} is not a prime power")

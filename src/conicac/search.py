@@ -14,17 +14,22 @@ these gain counts and works from the smaller side of M_q.  While at most
 half the points are covered, the points t newly covers are its bisecants
 to S not yet covered (`ConicModel.bisecants`, closed form), and the gains
 follow from counts over the covered points and those bisecants alone.
-After that it keeps the uncovered M-indices and scans them.  Either way
+After that it keeps the uncovered points and scans them.  Either way
 adding t subtracts the contributions of the old S to the points t newly
 covers and adds the contributions of t to the points still uncovered, with
-`bincount`s over sigma_P values read through `ConicModel.sigma`.  The
-greedy passes drive a `CoverageState`.  `is_ac_subset` marks the bisecants
-of every pair of the subset, again in closed form.  The exhaustive search
-keeps Python-int bitsets: each DFS node carries, for every candidate c
-still to come, the OR of the pair masks of c with the subset, so the
-coverage of a child is one OR.  A child gets its own list only when it
-passes the pruning checks and its own children can still recurse; the
-last level, which can only complete a cover, is scanned in place.
+`bincount`s over sigma_P values from `ConicModel.sigma`, in closed form.
+The points it counts over are held as their `ConicModel.key`s, which is
+all `sigma` reads; only the covered flags are per M-index, the index
+`bisecants` returns.  Where t is a fixed point of sigma_P, sigma_P(t) = t
+falls on a parameter that is chosen or being chosen, whose gain is never
+read, so no count needs a tangent sentinel.  The greedy passes drive a
+`CoverageState`.  `is_ac_subset` marks the bisecants of every pair of the
+subset, again in closed form.  The exhaustive search keeps Python-int
+bitsets: each DFS node carries, for every candidate c still to come, the
+OR of the pair masks of c with the subset, so the coverage of a child is
+one OR.  A child gets its own list only when it passes the pruning checks
+and its own children can still recurse; the last level, which can only
+complete a cover, is scanned in place.
 
 The exhaustive search seeds its enumeration with one base per PGL(2,q)
 orbit.  PGL(2,q) is sharply 3-transitive, so the map sending an ordered
@@ -76,21 +81,22 @@ class CoverageState:
     """Single-owner mutable coverage of M_q by the chosen conic parameters.
 
     While at most half of M_q is covered, it holds the covered points (a flag
-    per M-point and an index list) and reads only them and the bisecants of
-    the new point; once more are covered, it holds the uncovered index array
-    `uncov` instead and scans it.  `uncov` is None until that one-way switch."""
+    per M-index and the list of their keys) and reads only them and the
+    bisecants of the new point; once more are covered, it holds the keys of
+    the uncovered points, `uncov`, instead and scans them.  `uncov` is None
+    until that one-way switch."""
 
     def __init__(self, model: ConicModel):
         self.model = model
         self.chosen: list[int] = []
-        # chosen flag per parameter; the tangent sentinel q+1 stays False
-        self.in_s = np.zeros(model.q + 2, dtype=bool)
+        self._old = np.empty(model.q + 1, dtype=np.intp)  # chosen, as an array
+        self.in_s = np.zeros(model.q + 1, dtype=bool)
         self.covered = np.zeros(model.m_size, dtype=bool)
-        self._cov = np.empty(model.m_size, dtype=np.intp)  # covered indices, first _ncov
+        self._cov = np.empty(model.m_size, dtype=np.intp)  # covered keys, first _ncov
         self._ncov = 0
         self.uncov = None
         # gain[c] = #{uncovered P : sigma_P(c) chosen}; meaningful for unchosen c
-        self.gain = np.zeros(model.q + 2, dtype=np.int64)
+        self.gain = np.zeros(model.q + 1, dtype=np.int64)
 
     @property
     def uncovered_count(self) -> int:
@@ -100,11 +106,12 @@ class CoverageState:
 
     def unchosen(self) -> list[int]:
         """Parameters not chosen yet, ascending."""
-        return np.flatnonzero(~self.in_s[:-1]).tolist()
+        return np.flatnonzero(~self.in_s).tolist()
 
     def best(self) -> list[int]:
         """Unchosen parameters of maximal gain, ascending."""
-        gain = np.where(self.in_s[:-1], -1, self.gain[:-1])
+        gain = self.gain
+        gain[self.in_s] = -1
         return np.flatnonzero(gain == gain.max()).tolist()
 
     def add(self, t: int) -> int:
@@ -112,10 +119,11 @@ class CoverageState:
         if not 0 <= t <= self.model.q or self.in_s[t]:
             raise ValueError(f"parameter {t} already chosen or not on the conic")
         if self.uncov is None and 2 * self._ncov > self.model.m_size:
-            self.uncov = np.flatnonzero(~self.covered)
+            self.uncov = self.model.key[~self.covered]
             self.covered = self._cov = None
         count = self._add_from_covered(t) if self.uncov is None else self._add_from_uncovered(t)
         self.in_s[t] = True
+        self._old[len(self.chosen)] = t
         self.chosen.append(t)
         return count
 
@@ -127,16 +135,16 @@ class CoverageState:
         once, so the new points take k(k-1) from each such gain (k = |S|),
         less what the line's already covered points would have taken."""
         model, size, k = self.model, len(self.in_s), len(self.chosen)
-        old = np.array(self.chosen, dtype=np.intp)
+        old = self._old[:k]
         line = model.bisecants(t, old)
         was = self.covered[line]
         new = line[~was]
-        cov = self._cov[:self._ncov]
+        keys = model.key.take(line)
         self.gain += model.q - 1 - k * (k - 1)
-        self.gain += np.bincount(model.sigma(old[:, None], line[was]).ravel(), minlength=size)
-        self.gain -= np.bincount(model.sigma(t, cov), minlength=size)
+        self.gain += np.bincount(model.sigma(old, keys[was]).ravel(), minlength=size)
+        self.gain -= np.bincount(model.sigma(t, self._cov[:self._ncov]), minlength=size)
         self.covered[new] = True
-        self._cov[self._ncov:self._ncov + len(new)] = new
+        self._cov[self._ncov:self._ncov + len(new)] = keys[~was]
         self._ncov += len(new)
         return len(new)
 
@@ -147,8 +155,7 @@ class CoverageState:
         row = sigma(t, self.uncov)
         hit = self.in_s.take(row)
         new = self.uncov[hit]
-        old = np.array(self.chosen, dtype=np.intp)[:, None]  # one row per s in the old S
-        self.gain -= np.bincount(sigma(old, new).ravel(), minlength=size)
+        self.gain -= np.bincount(sigma(self._old[:len(self.chosen)], new).ravel(), minlength=size)
         self.uncov = self.uncov[~hit]
         self.gain += np.bincount(row, minlength=size)
         return len(new)

@@ -3,7 +3,7 @@
 They answer questions the library itself never asks: the coordinates of
 the M-points, the M-points of one bisecant, the coverage of a subset as a
 bitset, the covered set and the gain of every candidate of a
-`CoverageState`, a closed-form sigma_P(t) that needs no table, the
+`CoverageState`, sigma_P(t) from the coordinates of P, the
 exhaustive search with the plain DFS, the arc test by (N+1)-minors, and
 the kind of a point of PG(2,q) by its discriminant.
 
@@ -41,7 +41,7 @@ def bisecant_mpoints(model, t1, t2):
     """Sorted M_q indices on the line through conic points t1, t2."""
     if t1 == t2:
         raise ValueError("bisecant needs two distinct parameters")
-    return np.flatnonzero(model.sigma(t1, np.arange(model.m_size)) == t2).tolist()
+    return np.flatnonzero(model.sigma(t1, model.key) == t2).tolist()
 
 
 def coverage_mask(model, subset) -> int:
@@ -51,14 +51,14 @@ def coverage_mask(model, subset) -> int:
 
 def covered(state) -> int:
     """Bitmask over M_q of the points a `CoverageState` has covered, read
-    from its covered flags, or from `uncov` once it holds that instead."""
+    from its covered flags, or from the keys `uncov` once it holds those
+    instead; the keys map to M-indices through `model.key`."""
+    key = state.model.key
     if state.uncov is None:
         listed = np.sort(state._cov[:state._ncov])
-        assert np.array_equal(listed, np.flatnonzero(state.covered)), "index list != flags"
+        assert np.array_equal(listed, np.sort(key[state.covered])), "key list != flags"
         return pack_mask(state.covered)
-    flags = np.ones(state.model.m_size, dtype=bool)
-    flags[state.uncov] = False
-    return pack_mask(flags)
+    return pack_mask(~np.isin(key, state.uncov))
 
 
 def gains(state) -> dict[int, int]:
@@ -67,23 +67,24 @@ def gains(state) -> dict[int, int]:
 
 
 def closed_form_sigma(model):
-    """A drop-in for `model.sigma` that reads no table: sigma_P(t) =
-    (x1*t - x2) / (x0*t - x1) from `field_tables` and `m_coords`.  A zero
-    denominator gives inf (q), a fixed point the tangent code q+1, and
-    t = inf gives x1/x0 where x0 = 1, otherwise q+1."""
+    """sigma_P(t) = (x1*t - x2) / (x0*t - x1) from `field_tables` and
+    `m_coords`, with no model table: sigma(t, idx) for the M-points of the
+    M-index array idx, the reference for `model.sigma(t, model.key[idx])`,
+    with t a parameter code or a 1-D array of codes, one row per code.  A
+    zero denominator gives inf (q), and t = inf gives x1/x0 where x0 = 1,
+    otherwise inf; a fixed point gives t itself."""
     q = model.q
     add, mul, neg, inv = field_tables(model.ctx)
     x0, x1, x2 = m_coords(model)
 
     def sigma(t, idx):
-        t = np.asarray(t)
+        t = np.asarray(t)[..., None]
         a, b, c = x0[idx], x1[idx], x2[idx]
         finite = np.where(t == q, 0, t)
         den = add[mul[finite, a], neg[b]]
         num = add[mul[finite, b], neg[c]]
         value = np.where(den == 0, q, mul[num, inv[den]])
-        value = np.where(value == t, q + 1, value)
-        return np.where(t == q, np.where(a == 1, b, q + 1), value)
+        return np.where(t == q, np.where(a == 1, b, q), value)
 
     return sigma
 

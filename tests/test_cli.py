@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from conicac import cli
+from conicac.geometry import MODEL_MAX_Q, build_conic_model
+from conicac.search import is_ac_subset
 
 
 def run(capsys, *argv):
@@ -228,6 +231,32 @@ def test_huge_prime_q_is_refused_before_factoring(argv, message):
     out = run_subprocess(*argv)
     assert out.returncode == cli.EXIT_USAGE and out.stdout == ""
     assert out.stderr.startswith("error: ") and message in out.stderr
+
+
+@pytest.mark.parametrize("argv", [("search", "1048576", "--restarts", "1"),
+                                  ("exact", "1048576", "--force")])
+def test_q_above_the_model_limit_is_refused(argv):
+    """2^20 passes the field limit, but its conic model would take TiB: the
+    command exits 2 before building the field."""
+    out = run_subprocess(*argv)
+    assert out.returncode == cli.EXIT_USAGE and out.stdout == ""
+    assert out.stderr == f"error: q=1048576 exceeds the conic model limit {MODEL_MAX_Q}\n"
+
+
+@pytest.mark.slow
+def test_search_1024_in_bounded_memory():
+    """`ac search 1024` finds an AC witness in a child whose peak RSS stays
+    under 400 MB; a table of sigma_P(t) for every t and P took 2.1 GB there.
+    Budget, measured on a 2-vCPU VM: about 1.3 s at 87 MB."""
+    out = run_subprocess("search", "1024", "--restarts", "1", timeout=300)
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert out.returncode == cli.EXIT_OK and out.stderr == ""
+    q, size, names = out.stdout.strip().split(";")
+    model = build_conic_model(1024)
+    witness = [model.parse_param(name) for name in names.split(",")]
+    assert (q, int(size)) == ("1024", len(witness))
+    assert is_ac_subset(model, witness)
+    assert peak_mb < 400, peak_mb
 
 
 def test_verify_huge_prime_row_fails_without_hanging(tmp_path):

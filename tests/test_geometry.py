@@ -4,8 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conicac.geometry import build_conic_model, canon_point, pack_mask
-from conicac.gf import factor_prime_power, field_for_order
+from conicac.geometry import ConicModel, build_conic_model, canon_point, pack_mask
+from conicac.gf import factor_prime_power, field_for_order, field_tables
 from oracles import bisecant_mpoints, classify_point, closed_form_sigma, m_coords
 
 MODEL_QS = [q for q in range(4, 33) if factor_prime_power(q)]
@@ -137,10 +137,10 @@ def test_bisecant_indices_match_line_scan(q):
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 121, 128])
 def test_closed_form_bisecants_match_the_table(q):
-    """`bisecants` and `m_index` in closed form against the tableless
-    `closed_form_sigma` and the enumerated M-points, for every ordered pair
-    (t, s), inf on either side: prime fields, odd and even extension fields.
-    The model's own table is built from `bisecants`, so it is no reference."""
+    """`bisecants` and `m_index` in closed form against `closed_form_sigma`,
+    computed from the coordinates of the enumerated M-points, for every
+    ordered pair (t, s), inf on either side: prime fields, odd and even
+    extension fields."""
     model = build_conic_model(q)
     assert np.array_equal(model.m_index(*m_coords(model)), np.arange(model.m_size))
     sigma = closed_form_sigma(model)
@@ -151,22 +151,23 @@ def test_closed_form_bisecants_match_the_table(q):
         # row s lists q-1 distinct points with sigma_P(t) = s, and there are no others
         assert (want[rows] == others[:, None]).all(), t
         assert np.unique(rows).size == rows.size, t
-        assert (np.bincount(want, minlength=q + 2)[others] == q - 1).all(), t
+        assert (np.bincount(want, minlength=q + 1)[others] == q - 1).all(), t
     assert model.bisecants(0, []).size == 0
 
 
 @pytest.mark.parametrize("q", [8, 9, 13, 16, 25])
 def test_pair_masks_match_closed_form_sigma(q):
     """`pair_mask(t1, t2)` marks exactly the M-points P with sigma_P(t1) = t2,
-    from the tableless `closed_form_sigma`, for every ordered pair; 0 on
-    the diagonal, where the tangent code q+1 never equals t1."""
+    from `closed_form_sigma`, for every ordered pair of distinct parameters;
+    0 on the diagonal, where sigma_P(t1) = t1 marks the tangent at t1."""
     model = build_conic_model(q)
     sigma = closed_form_sigma(model)
     everything = np.arange(model.m_size)
     for t1 in model.params:
         row = sigma(t1, everything)
         for t2 in model.params:
-            assert model.pair_mask(t1, t2) == pack_mask(row == t2), (t1, t2)
+            want = pack_mask(row == t2) if t2 != t1 else 0
+            assert model.pair_mask(t1, t2) == want, (t1, t2)
 
 
 def test_classification_counts_odd_q():
@@ -230,36 +231,53 @@ def test_model_cache_keeps_only_the_latest():
     assert build_conic_model.cache_info().currsize == 1
 
 
+# 263 has the widest ADDEXP rows (W = 2048 for 4n = 1048) in uint16
+@pytest.mark.parametrize("q", [128, 256, 263])
+def test_model_arrays_are_quadratic_in_q(q):
+    """The model's arrays take at most 52 q^2 bytes: 8 q^2 for the int32
+    addition and multiplication tables, 8 q^2 for the intp keys, about
+    4 q^2 for LSUB and at most 2q * 8q * 2 bytes for ADDEXP.  A table of
+    sigma_P(t) for every t and P would take 2(q+1)q^2 bytes in int16."""
+    model = ConicModel(field_for_order(q))
+    total = sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray))
+    assert total <= 52 * q * q
+
+
 def test_non_prime_power_rejected():
     with pytest.raises(ValueError):
         build_conic_model(6)
 
 
-# 256 is the first q whose codes (inf = 256, tangent sentinel 257) overflow 8 bits
+# 256 is the first q whose inf code overflows 8 bits
 @pytest.mark.parametrize("q", MODEL_QS + [121, 127, 128, 256])
 def test_partner_table_properties(q):
-    """sigma_P is an involution, its fixed points (the tangent sentinel
-    q+1) are the tangents through P, and each row t pairs t with every
-    other parameter on the q-1 M-points of their bisecant.  The whole table
-    is read through `ConicModel.sigma` and equals the closed form row by row."""
+    """sigma_P is an involution, its fixed points are the tangents through
+    P, and each t is paired with every other parameter on the q-1 M-points
+    of their bisecant.  The values are read through `ConicModel.sigma` at
+    every key, one row per parameter, and equal the closed form from the
+    coordinates row by row."""
     model = build_conic_model(q)
-    params = np.array(model.params)[:, None]
-    idx = np.arange(model.m_size)
-    partner = model.sigma(params, idx).astype(np.int64)
-    sentinel = q + 1
+    params = np.array(model.params)
+    partner = model.sigma(params, model.key).astype(np.int64)  # [t, M-index]
     assert partner.shape == (q + 1, model.m_size)
     closed = closed_form_sigma(model)
+    idx = np.arange(model.m_size)
     for t in model.params:
         assert np.array_equal(partner[t], closed(t, idx)), t
-    rows, cols = np.nonzero(partner != sentinel)
-    assert (partner[partner[rows, cols], cols] == rows).all()
+    assert (partner[partner, idx] == params[:, None]).all()
 
+    on_tangent = q - (q % 2 == 0)  # the M-points of a tangent: all but t and the nucleus
     for t in model.params:
-        counts = np.bincount(partner[t], minlength=q + 2)
-        assert counts[t] == 0
-        assert (np.delete(counts[:q + 1], t) == q - 1).all()
+        counts = np.bincount(partner[t], minlength=q + 1)
+        assert counts[t] == on_tangent
+        assert (np.delete(counts, t) == q - 1).all()
 
-    fixed = (partner == sentinel).sum(axis=0)
+    fixed = partner == params[:, None]
+    x0, x1, x2 = m_coords(model)
+    add, mul, _, _ = field_tables(model.ctx)
+    for t, (a, b, c) in model.tangent.items():
+        assert np.array_equal(fixed[t], add[add[mul[a, x0], mul[b, x1]], mul[c, x2]] == 0), t
+    fixed = fixed.sum(axis=0)
     if q % 2 == 0:
         assert (fixed == 1).all()
         return
