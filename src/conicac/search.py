@@ -40,9 +40,13 @@ triple (x, y, z) to (0, 1, inf) is unique and sends t to the cross ratio
 where [s,t] = u_s*v_t - u_t*v_s for the homogeneous pairs t -> (t, 1) and
 inf -> (1, 0).  A base through {0, 1, inf} is canonical when no such map
 of one of its ordered triples gives a lexicographically smaller sorted
-image; all candidate bases are tested at once, one triple at a time.  The
-cross ratio factors as ([t,x]/[t,z]) * ([y,z]/[y,x]): the first factor is
-taken once per pair (x, z), and each y multiplies it by a per-base scalar.
+image.  The bases are generated in order, each size from the one below
+(R. C. Read, "Every one a winner", Ann. Discrete Math. 2, 1978): a map
+giving a base less its largest finite point a smaller image gives the
+whole base one too, so each canonical base is a canonical base one
+smaller plus one larger point.  The cross ratio factors as
+([t,x]/[t,z]) * ([y,z]/[y,x]): the first factor is taken once per pair
+(x, z), and each y multiplies it by a per-base scalar.
 
 AC-ness is invariant under PGL(2,q), so the exhaustive search needs only
 canonical bases, one per orbit (cf. B. D. McKay, "Isomorph-free exhaustive
@@ -56,7 +60,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -292,33 +296,26 @@ def _cross_ratio_factors(ctx: FieldCtx):
     return ratio, times
 
 
-BASE_CHUNK = 1 << 17  # candidate base rows per `_canonical_bases` pass
-
-
-def _canonical_bases(model: ConicModel, base_size: int):
-    """All base subsets of size base_size up to the PGL(2,q) parameter
-    action, in `combinations` order: representatives contain {0, 1, inf}
-    and are their own minimal sorted image under the maps sending an
-    ordered triple of the base to (0, 1, inf).  Each base is one row; a
-    row is dropped as soon as one image is lexicographically smaller.  For
-    each ordered pair (x, z) of base positions the factor [t,x]/[t,z] is
-    taken once per element, and each y scales it by the per-row
-    [y,z]/[y,x].  The rows go through the passes BASE_CHUNK at a time."""
-    q, k = model.q, base_size
+def _canonical_levels(model: ConicModel, k: int):
+    """The canonical bases of sizes 3, 4, ..., k, one (count, s) array per
+    size s, in `combinations` order.  Level 3 is (0, 1, inf); the
+    candidates of level s+1 are each base of level s, in order, followed
+    by each point above its largest finite one, ascending.  A candidate
+    is dropped as soon as the map sending an ordered triple of it to
+    (0, 1, inf) gives a lexicographically smaller sorted image.  For each
+    ordered pair (x, z) of base positions the factor [t,x]/[t,z] is taken
+    once per element, and each y scales it by the per-row [y,z]/[y,x]."""
+    q = model.q
     ratio, times = _cross_ratio_factors(model.ctx)
-    dtype = times.dtype
-    extras = chain.from_iterable(combinations(range(2, q), k - 3))
-    total = math.comb(q - 2, k - 3)
-    for start in range(0, total, BASE_CHUNK):
-        count = min(BASE_CHUNK, total - start)
-        bases = np.empty((count, k), dtype=dtype)
-        bases[:, :2] = 0, 1
-        bases[:, 2:-1] = np.fromiter(islice(extras, count * (k - 3)), dtype=dtype,
-                                     count=count * (k - 3)).reshape(count, k - 3)
-        bases[:, -1] = q
-        for x, z in permutations(range(k), 2):
+    bases = np.array([[0, 1, q]], dtype=times.dtype)
+    yield bases
+    for s in range(4, k + 1):
+        last = bases[:, -2].tolist()
+        new = np.concatenate([np.arange(e + 1, q) for e in last])
+        bases = np.insert(np.repeat(bases, [q - 1 - e for e in last], axis=0), s - 2, new, axis=1)
+        for x, z in permutations(range(s), 2):
             f = ratio(bases, bases[:, [x]], bases[:, [z]])
-            for y in range(k):
+            for y in range(s):
                 if y == x or y == z:
                     continue
                 img = np.sort(times[f, ratio(bases[:, [y]], bases[:, [z]], bases[:, [x]])], axis=1)
@@ -326,7 +323,7 @@ def _canonical_bases(model: ConicModel, base_size: int):
                 smaller = np.take_along_axis(img, first, 1) < np.take_along_axis(bases, first, 1)
                 keep = ~smaller.ravel()
                 bases, f = bases[keep], f[keep]
-        yield from map(tuple, bases.tolist())
+        yield bases
 
 
 def exhaustive_min_ac(model: ConicModel):
@@ -352,28 +349,30 @@ def exhaustive_min_ac(model: ConicModel):
             mask |= pair[t][u]
         return mask
 
-    def smallest_ac(sizes, subsets):  # least s in sizes with an AC member of subsets(s)
-        for s in sizes:
+    def smallest_ac(sized):  # least s with an AC member of its subsets, over (s, subsets)
+        for s, subsets in sized:
             if math.comb(s, 2) * qm1 < model.m_size:
                 continue  # s points cover at most C(s,2)*(q-1) M-points
-            for sub in subsets(s):
+            for sub in subsets:
                 if cover(sub) == full:
                     return s, list(sub)
         return None
 
     if q <= 7:  # tiny fields: direct enumeration by subset size
-        return smallest_ac(range(3, q + 1), lambda s: combinations(params, s))
+        return smallest_ac((s, combinations(params, s)) for s in range(3, q + 1))
 
     start = randomized_greedy(model, seed=0, restarts=20)
     best_size = start.size
     best_witness = list(start.witness)
     # g - 4 was the fastest, or within noise of it, at q = 13..29 among base
-    # sizes 4..10 (q=27, 2 vCPUs: 10 took 3.5 s, 9 1.2 s, 8 2.2 s, 6 4.8 s).  There are C(q-2, k-3)
-    # candidate bases: at q=32 size 10 ran the whole search in 64 s and 156
-    # MB, while 11 spent 30 s and 421 MB on the bases alone and 9 took 127 s
-    # (measured when each DFS node ORed its new point with the whole subset).
+    # sizes 4..10 (q=27, 2 vCPUs: 10 took 3.5 s, 9 1.2 s, 8 2.2 s, 6 4.8 s).
+    # The cap of 10 sets k at q=32 (g = 15).  There the whole search, each in
+    # a fresh process on 2 vCPUs, took 31 s with size 9, 14-21 s with 10 and
+    # 7-9 s with 11, at 32-34 MB peak RSS, all with the same witness.
     base_size = min(max(3, best_size - 4), 10)
-    if smaller := smallest_ac(range(3, base_size), lambda s: _canonical_bases(model, s)):
+    levels = map(np.ndarray.tolist, _canonical_levels(model, base_size))
+    # zip asks range first, so level base_size stays in levels for the DFS
+    if smaller := smallest_ac(zip(range(3, base_size), levels)):
         return smaller
 
     def short(s, mask):
@@ -403,14 +402,13 @@ def exhaustive_min_ac(model: ConicModel):
                             best_size, best_witness = s + 1, subset + [t, c]
                             break
 
-    for base in _canonical_bases(model, base_size):
-        subset = list(base)
+    for subset in next(levels):
         covered = cover(subset)
         if covered == full:
             if base_size < best_size:
                 best_size, best_witness = base_size, subset
         elif base_size + 1 < best_size and not short(base_size, covered):
-            rest = [t for t in params if t not in base]
+            rest = [t for t in params if t not in subset]
             acc = [0] * len(rest)
             for u in subset:
                 acc = [a | pair[u][c] for a, c in zip(acc, rest)]

@@ -3,8 +3,9 @@
 They answer questions the library itself never asks: the coordinates of
 the M-points, the M-points of one bisecant, the coverage of a subset as a
 bitset, the covered set and the gain of every candidate of a
-`CoverageState`, sigma_P(t) from the coordinates of P, the
-exhaustive search with the plain DFS, the arc test by (N+1)-minors, and
+`CoverageState`, sigma_P(t) from the coordinates of P, the canonical
+bases of one size by filtering every candidate, the exhaustive search
+with the plain DFS, the arc test by (N+1)-minors, and
 the kind of a point of PG(2,q) by its discriminant.
 
 They also hold the scalar bound curves, one q at a time in plain Python
@@ -15,7 +16,7 @@ check those arrays against `scalar_bound` bit for bit.
 """
 
 import math
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, permutations
 
 import numpy as np
 
@@ -89,12 +90,42 @@ def closed_form_sigma(model):
     return sigma
 
 
+def filter_canonical_bases(model, base_size):
+    """The canonical bases of one size by filtering every candidate: all
+    C(q-2, k-3) rows (0, 1, extra..., inf), extras in `combinations` order,
+    go through the `permutations` passes at once, and a row is dropped as
+    soon as one image under the map sending an ordered triple of it to
+    (0, 1, inf) is lexicographically smaller.  The reference for
+    `search._canonical_levels`, which builds each size from the one below;
+    both take their cross ratios from `search._cross_ratio_factors`."""
+    q, k = model.q, base_size
+    ratio, times = search._cross_ratio_factors(model.ctx)
+    count = math.comb(q - 2, k - 3)
+    bases = np.empty((count, k), dtype=times.dtype)
+    bases[:, :2] = 0, 1
+    bases[:, 2:-1] = np.fromiter(chain.from_iterable(combinations(range(2, q), k - 3)),
+                                 dtype=times.dtype, count=count * (k - 3)).reshape(count, k - 3)
+    bases[:, -1] = q
+    for x, z in permutations(range(k), 2):
+        f = ratio(bases, bases[:, [x]], bases[:, [z]])
+        for y in range(k):
+            if y == x or y == z:
+                continue
+            img = np.sort(times[f, ratio(bases[:, [y]], bases[:, [z]], bases[:, [x]])], axis=1)
+            first = (img != bases).argmax(axis=1)[:, None]
+            smaller = np.take_along_axis(img, first, 1) < np.take_along_axis(bases, first, 1)
+            keep = ~smaller.ravel()
+            bases, f = bases[keep], f[keep]
+    return list(map(tuple, bases.tolist()))
+
+
 def reference_min_ac(model):
     """`exhaustive_min_ac` with the plain DFS: each node ORs the pair masks of
     its new point with the whole subset, and checks full cover, size and
-    the C(s+r,2) counting bound itself.  The seed and the bases come from
-    `search.randomized_greedy` and `search._canonical_bases`, read at call
-    time, so a test that patches them patches both searches."""
+    the C(s+r,2) counting bound itself.  The bases of every size come from
+    `filter_canonical_bases`, so the two searches share no base generator.
+    The seed comes from `search.randomized_greedy`, read at call time, so a
+    test that patches it patches both searches."""
     q, params, full, qm1 = model.q, model.params, model.full_mask, model.q - 1
     pair = [[model.pair_mask(t, u) for u in params] for t in params]
 
@@ -118,7 +149,7 @@ def reference_min_ac(model):
     start = search.randomized_greedy(model, seed=0, restarts=20)
     best_size, best_witness = start.size, list(start.witness)
     base_size = min(max(3, best_size - 4), 10)
-    if smaller := smallest_ac(range(3, base_size), lambda s: search._canonical_bases(model, s)):
+    if smaller := smallest_ac(range(3, base_size), lambda s: filter_canonical_bases(model, s)):
         return smaller
 
     def extend(subset, covered, cand_from):
@@ -139,7 +170,7 @@ def reference_min_ac(model):
                 mask |= pair[t][u]
             extend(subset + [t], mask, cand_from[j + 1:])
 
-    for base in search._canonical_bases(model, base_size):
+    for base in filter_canonical_bases(model, base_size):
         extend(list(base), cover(base), [t for t in params if t not in base])
     return best_size, best_witness
 

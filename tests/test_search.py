@@ -16,12 +16,12 @@ import conicac
 from conicac import search
 from conicac.geometry import ConicModel, build_conic_model
 from conicac.gf import factor_prime_power, field_for_order
-from conicac.search import (CoverageState, _canonical_bases, _cross_ratio_factors,
+from conicac.search import (CoverageState, _canonical_levels, _cross_ratio_factors,
                             exhaustive_min_ac, is_ac_subset, is_minimal_ac,
                             randomized_greedy)
 from conicac.tables import EXACT_T
-from oracles import (closed_form_sigma, coverage_mask, covered, gains, m_coords,
-                     reference_min_ac)
+from oracles import (closed_form_sigma, coverage_mask, covered, filter_canonical_bases,
+                     gains, m_coords, reference_min_ac)
 
 ORACLE_QS = (5, 7, 8, 9, 11, 13)
 MODEL_QS = [q for q in range(4, 33) if factor_prime_power(q)]
@@ -472,13 +472,30 @@ def test_exhaustive_finds_sizes_below_the_base_on_canonical_bases(monkeypatch, q
     monkeypatch.setattr(search, "randomized_greedy", lambda *args, **kwargs: seed)
     size, witness = exhaustive_min_ac(model)
     assert size == EXACT_T[q] and is_minimal_ac(model, witness)
-    assert witness in [list(b) for b in _canonical_bases(model, size)]
+    assert witness in [list(b) for b in canonical_level(model, size)]
 
 
 @pytest.mark.parametrize("q", [q for q in sorted(EXACT_T) if q <= 25])
 def test_exhaustive_matches_the_reference_dfs(q):
     model = build_conic_model(q)
     assert exhaustive_min_ac(model) == reference_min_ac(model)
+
+
+def test_exhaustive_builds_the_cross_ratio_tables_once(monkeypatch):
+    # an AC seed of size t(23) + 2 makes the base size 10, and the counting
+    # bound lets sizes 8 and 9 through: one `_canonical_levels` pass serves
+    # all three
+    model = build_conic_model(23)
+    _, witness = exhaustive_min_ac(model)
+    witness += [t for t in model.params if t not in witness][:2]
+    seed = search.SearchResult(q=23, size=len(witness), witness=witness, is_ac=True)
+    monkeypatch.setattr(search, "randomized_greedy", lambda *args, **kwargs: seed)
+    calls = []
+    factors = search._cross_ratio_factors
+    monkeypatch.setattr(search, "_cross_ratio_factors",
+                        lambda ctx: calls.append(ctx.q) or factors(ctx))
+    assert exhaustive_min_ac(model)[0] == EXACT_T[23]
+    assert calls == [23]
 
 
 @pytest.mark.parametrize("extra", (1, 2))
@@ -548,34 +565,61 @@ def oracle_canonical_bases(model, base_size):
     return out
 
 
+def canonical_level(model, k):
+    """The last level of `_canonical_levels(model, k)` as a list of tuples."""
+    *_, level = _canonical_levels(model, k)
+    return list(map(tuple, level.tolist()))
+
+
+def assert_levels_match_the_filter(q, top):
+    """Levels 3..top: one per size, each equal to `filter_canonical_bases`,
+    strictly increasing and with columns 0, 1 and inf first, second and last."""
+    model = build_conic_model(q)
+    levels = list(_canonical_levels(model, top))
+    assert len(levels) == top - 2
+    for k, level in zip(range(3, top + 1), levels):
+        rows = list(map(tuple, level.tolist()))
+        assert rows == filter_canonical_bases(model, k), k
+        assert all(a < b for a, b in zip(rows, rows[1:])), k
+        assert level.shape[1] == k
+        assert (level[:, 0] == 0).all() and (level[:, 1] == 1).all(), k
+        assert (level[:, -1] == q).all(), k
+
+
 @pytest.mark.parametrize("q", [q for q in MODEL_QS if 7 <= q <= 17])
 def test_canonical_bases_match_scalar_moebius_oracle(q):
     model = build_conic_model(q)
-    assert list(_canonical_bases(model, 6)) == oracle_canonical_bases(model, 6)
+    assert canonical_level(model, 6) == oracle_canonical_bases(model, 6)
 
 
-def test_canonical_bases_chunks_keep_combinations_order(monkeypatch):
-    model = build_conic_model(13)
-    whole = list(_canonical_bases(model, 6))
-    for chunk in (1, 7, 64):  # C(11, 3) = 165 rows: chunk boundaries inside
-        monkeypatch.setattr(search, "BASE_CHUNK", chunk)
-        assert list(_canonical_bases(model, 6)) == whole, chunk
+@pytest.mark.parametrize("q", (8, 9, 11, 13))
+def test_canonical_levels_match_the_filter_in_combinations_order(q):
+    # sizes 3..min(q-3, 10), as in the scalar-oracle test below
+    assert_levels_match_the_filter(q, min(q - 3, 10))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", (31, 32))
+def test_canonical_levels_match_the_filter_up_to_10(q):
+    """Every size the base-size rule can pick at the largest q of the
+    paper's table.  The filter takes about 5 s per q on a 2-vCPU VM."""
+    assert_levels_match_the_filter(q, 10)
 
 
 @pytest.mark.parametrize("q", [q for q in MODEL_QS if 11 <= q <= 13])
 def test_canonical_8_bases_match_scalar_moebius_oracle(q):
     # 8-point bases, the size `exhaustive_min_ac` uses at q = 23 and 25
     model = build_conic_model(q)
-    assert list(_canonical_bases(model, 8)) == oracle_canonical_bases(model, 8)
+    assert canonical_level(model, 8) == oracle_canonical_bases(model, 8)
 
 
 @pytest.mark.parametrize("q", (8, 9, 11, 13))
 def test_canonical_bases_match_scalar_moebius_oracle_at_every_size(q):
     # base sizes 3..min(q-3, 10): at q = 13, every size the rule
     # k = min(max(3, g - 4), 10) and the sizes below it can reach at any q
-    model = build_conic_model(q)
-    for k in range(3, min(q - 3, 10) + 1):
-        assert list(_canonical_bases(model, k)) == oracle_canonical_bases(model, k), k
+    model, top = build_conic_model(q), min(q - 3, 10)
+    for k, level in zip(range(3, top + 1), _canonical_levels(model, top)):
+        assert list(map(tuple, level.tolist())) == oracle_canonical_bases(model, k), k
 
 
 # Number of canonical 6-point bases, recorded with the scalar canonicaliser.
@@ -587,15 +631,15 @@ RULE_BASE_COUNTS = {(23, 8): 83, (25, 8): 131, (27, 9): 382}
 
 
 def test_canonical_base_counts_pinned():
-    assert {q: len(list(_canonical_bases(build_conic_model(q), 6)))
+    assert {q: len(canonical_level(build_conic_model(q), 6))
             for q in CANONICAL_BASE_COUNTS} == CANONICAL_BASE_COUNTS
-    assert {(q, k): len(list(_canonical_bases(build_conic_model(q), k)))
+    assert {(q, k): len(canonical_level(build_conic_model(q), k))
             for q, k in RULE_BASE_COUNTS} == RULE_BASE_COUNTS
 
 
 @pytest.mark.parametrize("q", MODEL_QS + [256])  # 256: inf needs uint16
 def test_cross_ratio_is_the_moebius_map_to_0_1_inf(q):
-    """The factors `_canonical_bases` multiplies, times[[t,x]/[t,z], [y,z]/[y,x]],
+    """The factors `_canonical_levels` multiplies, times[[t,x]/[t,z], [y,z]/[y,x]],
     form the map sending (x, y, z) to (0, 1, inf), a permutation of the codes."""
     ratio, times = _cross_ratio_factors(field_for_order(q))
     everything = list(range(q + 1))
