@@ -4,12 +4,12 @@ Conic points are indexed by a parameter t in F_q u {inf}; the point at
 infinity is encoded as the code q (one past the field range) so arrays of
 size q+1 stay dense.  Plane points are canonical triples (0,0,1), (0,1,z)
 and (1,y,z); `pg_points` lists them in lexicographic order.  The off-conic
-point set M_q is the points of that list with x1^2 != x0*x2 except the
-nucleus (0,1,0) of even q: (0,1,z), then (1,y,z) with z != y^2, q^2 - [q even]
-in all.  The model keeps no coordinates for them: `ConicModel.m_index`
-indexes them in closed form, (0,1,z) as z - [q even] and (1,y,z) as
-q - [q even] + y*(q-1) + z - [z > y^2].  The order keeps bitset layouts
-reproducible.
+point set M_q is the points with x1^2 != x0*x2 except the nucleus (0,1,0)
+of even q, q^2 - [q even] in all.  The model keeps no coordinates for
+them: `ConicModel.m_index` indexes them in closed form, (0,1,z) as
+z - [q even] and (1,y,z) as q - [q even] + y*(q-1) + log(y^2 - z), so each
+row y lists its q-1 points by the field log of y^2 - z, nonzero off the
+conic.  The order keeps bitset layouts reproducible.
 
 The bisecant of {t1, t2} is the line [t1*t2, -(t1+t2), 1], and the
 bisecant of {t, inf} is x1 = t*x0; `ConicModel.bisecants` lists their
@@ -35,16 +35,22 @@ M-point has one integer key in `ConicModel.key`,
 
     key = row*W + n + log D,   row = y for (1,y,z) and q + z for (0,1,z),
 
-and sigma_P(t) = ADDEXP[key - LSUB[t, key >> log2 W]] in the flattened
-2q x W table ADDEXP.  LSUB[t, row] is log(t - y) on the rows y and
-log(-1/t) on the rows q + z, in [0, n), so that j = n + log D - LSUB lies
-in [0, 2n) and entry j of ADDEXP row y or q + z holds base + alpha^(j - n)
-= base + D/(t - c).  Two sentinels of LSUB move j past 2n: -n where
+so the i-th point of row y of M_q has key y*W + n + i, and sigma_P(t) =
+ADDEXP[key - LSUB[t, key >> log2 W]] in the flattened 2q x W table
+ADDEXP.  LSUB[t, row] is log(t - y) on the rows y and log(-1/t) on the
+rows q + z, in [0, n), so that j = n + log D - LSUB lies in [0, 2n) and
+entry j of ADDEXP row y or q + z holds base + alpha^(j - n) =
+base + D/(t - c).  Two sentinels of LSUB move j past 2n: -n where
 D/(t - c) is 0 (t = inf on the rows y, t = 0 on the rows q + z) into the
 band [2n, 3n) that holds the base, and -2n where sigma_P(t) is inf (t = y,
 and t = inf on the rows q + z) into the band [3n, 4n) that holds inf.
 A fixed point needs no sentinel: sigma_P(t) = t there, and the search only
 counts sigma values that are chosen parameters, which t is once added.
+
+`m_index` and `bisecants` read the same tables, and the model keeps no
+q x q field table: log(y^2 - z) is LSUB[y^2, z], and LSUB[t, y] + LSUB[s, y]
+mod n on the bisecant {t, s}, where y^2 - z = (t - y)(s - y); its point
+(0,1,t+s) reads t + s = ADDEXP[t*W + log s], with log 0 = 2n in the base band.
 """
 
 from __future__ import annotations
@@ -117,31 +123,25 @@ class ConicModel:
         # for even q the tangents [t^2, 0, 1] and [1, 0, 0] all pass through (0,1,0)
         self.nucleus = (0, 1, 0) if q % 2 == 0 else None
 
-        add, mul, neg, _ = field_tables(ctx)
-        self._add, self._mul, self._neg = add, mul, neg
         self._even = 1 - q % 2
         self.m_size = q * q - self._even
         self.full_mask = (1 << self.m_size) - 1
 
-        # closed-form M-index and bisecants (`m_index`, `bisecants`)
-        self._square = mul.diagonal().copy()
-        self._run = np.arange(q - 1, dtype=np.int32)
-        # M-index of the first M-point (1, y, z) of each row y; int32 like the
-        # field tables, which holds every M-index and z*q while q^2 + q < 2^31
-        self._row_start = (q - self._even + np.arange(q) * (q - 1)).astype(np.int32)
-
         # sigma_P(t) in closed form: the keys and tables of the module docstring
         n = q - 1
         exp, log, _ = log_tables(ctx)
+        add, _, neg, _ = field_tables(ctx)  # build temporaries only
+        self._log = log  # log 0 = 2n, so t + 0 in `bisecants` reads the base band of ADDEXP
+        self._square = exp.take(2 * log)  # exp reads 0 at 2 log 0 = 4n
+        self._run = np.arange(n, dtype=np.int32)
+        # M-index of the first M-point (1, y, z) of each row y; int32 holds every
+        # M-index while q^2 < 2^31
+        self._row_start = (q - self._even + np.arange(q) * n).astype(np.int32)
         self._shift = shift = (4 * n - 1).bit_length()  # W = 2^shift >= 4n
         rows = np.arange(q, dtype=np.intp)
         self.key = np.empty(self.m_size, dtype=np.intp)
         self.key[:q - self._even] = ((q + rows[self._even:]) << shift) + n  # (0, 1, z)
-        affine = self.key[q - self._even:].reshape(q, n)  # (1, y, z), z != y^2 ascending
-        d = add.take(self._square, axis=0).take(neg, axis=1)  # y^2 - z at [y, z]
-        affine[:] = log.take(d[d != 0]).reshape(q, n)
-        affine += (rows[:, None] << shift) + n
-        del d  # a q x q temporary: gone before the tables below are built
+        self.key[q - self._even:] = ((rows[:, None] << shift) + n + self._run).ravel()  # (1, y, z)
 
         self._lsub = np.empty((q + 1, 2 * q), dtype=np.min_scalar_type(-2 * n))
         self._lsub[:q, :q] = log.take(add.take(neg, axis=1))  # log(t - y)
@@ -184,30 +184,27 @@ class ConicModel:
     def m_index(self, x0, x1, x2) -> np.ndarray:
         """M-index of the canonical M-points with coordinate arrays x0, x1, x2,
         in closed form: (0,1,z) is z - [q even] and (1,y,z) is
-        q - [q even] + y*(q-1) + z - [z > y^2]."""
-        return np.where(x0 == 1, self._affine_index(x1, x2), x2 - self._even)
-
-    def _affine_index(self, y, z):
-        return self._row_start.take(y) + z - (z > self._square.take(y))
+        q - [q even] + y*(q-1) + log(y^2 - z)."""
+        affine = self._row_start.take(x1) + self._lsub[self._square.take(x1), x2]
+        return np.where(x0 == 1, affine, x2 - self._even)
 
     def bisecants(self, t: int, s) -> np.ndarray:
         """M-indices of the bisecants {t, s} for the parameters s != t of the
         array s, in closed form: q-1 per s, in the order of s.  They are
-        (1, y, (t+s)*y - t*s) for y not in {t, s} plus (0, 1, t+s), and, with
-        inf, (1, t, z) for z != t^2."""
-        q, run = self.q, self._run
+        (1, y, z) with y^2 - z = (t - y)(s - y) for y not in {t, s} plus
+        (0, 1, t+s), and, with inf, (1, t, z) for z != t^2."""
+        n, run, lsub = self.q - 1, self._run, self._lsub
         s = np.asarray(s, dtype=np.intp)
         if t == self.inf:
             return (self._row_start.take(s)[:, None] + run).ravel()
         is_inf = s == self.inf
         s = np.where(is_inf, int(t == 0), s)  # a finite stand-in; its row is replaced below
         y = run + (run >= t)  # every y but t
-        a, b = self._add[t].take(s), self._neg.take(self._mul[t].take(s))
-        z = self._mul.take(a, axis=0).take(y, axis=1)
-        z = self._add.ravel().take(z * q + b[:, None])
-        rows = self._affine_index(y, z)
+        logs = lsub[t].take(y) + lsub.take(s, axis=0).take(y, axis=1)  # log(y^2 - z) mod n
+        rows = self._row_start.take(y) + logs % n
         # the column y = s holds the conic point (1, s, s^2): put (0, 1, t+s) there
-        rows[np.arange(len(s)), s - (s > t)] = a - self._even
+        plus = self._addexp.take((t << self._shift) + self._log.take(s))
+        rows[np.arange(len(s)), s - (s > t)] = plus - self._even
         rows[is_inf] = self._row_start[t] + run
         return rows.ravel()
 
@@ -221,9 +218,9 @@ class ConicModel:
 
 
 # The largest q whose model `build_conic_model` builds.  `ac search 4096
-# --restarts 1` took 45 s at 856 MB peak RSS on a 2-vCPU VM (4049: 47 s,
-# 841 MB).  The field tables and ADDEXP grow as q^2: q = 2^15 would ask for
-# several GB per table.
+# --restarts 1` took 31 s at 713 MB peak RSS on a 2-vCPU VM (4049: 29-32 s,
+# 701 MB).  The keys and ADDEXP grow as q^2: q = 2^15 would ask for several
+# GB per table.
 MODEL_MAX_Q = 4096
 
 

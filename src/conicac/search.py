@@ -50,8 +50,8 @@ smaller plus one larger point.  The cross ratio factors as
 
 AC-ness is invariant under PGL(2,q), so the exhaustive search needs only
 canonical bases, one per orbit (cf. B. D. McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998): of size k = min(max(3, g - 4), 10)
-for a greedy seed of size g, and of each size below k.
+generation", J. Algorithms 26, 1998): of size k = max(3, g - 4) for a
+greedy seed of size g, and of each size below k.
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def exhaustive_min_ac(model: ConicModel):
     """Exact minimum AC-subset size t(q) with a witness.
 
     q <= 7 is enumerated by size.  Above, a randomized-greedy run of size g
-    seeds the upper bound and fixes the base size k = min(max(3, g - 4), 10).
+    seeds the upper bound and fixes the base size k = max(3, g - 4).
     Every AC-subset of size s < k is equivalent to a canonical s-base, and
     every larger one to a superset of a canonical k-base, which is extended
     in all ways while smaller than the current best."""
@@ -364,12 +364,8 @@ def exhaustive_min_ac(model: ConicModel):
     start = randomized_greedy(model, seed=0, restarts=20)
     best_size = start.size
     best_witness = list(start.witness)
-    # g - 4 was the fastest, or within noise of it, at q = 13..29 among base
-    # sizes 4..10 (q=27, 2 vCPUs: 10 took 3.5 s, 9 1.2 s, 8 2.2 s, 6 4.8 s).
-    # The cap of 10 sets k at q=32 (g = 15).  There the whole search, each in
-    # a fresh process on 2 vCPUs, took 31 s with size 9, 14-21 s with 10 and
-    # 7-9 s with 11, at 32-34 MB peak RSS, all with the same witness.
-    base_size = min(max(3, best_size - 4), 10)
+    # g - 4 was the fastest base size, or within noise of it, at every q <= 32
+    base_size = max(3, best_size - 4)
     levels = map(np.ndarray.tolist, _canonical_levels(model, base_size))
     # zip asks range first, so level base_size stays in levels for the DFS
     if smaller := smallest_ac(zip(range(3, base_size), levels)):

@@ -29,13 +29,17 @@ from conicac.search import _covered_flags
 
 def m_coords(model):
     """The M-points as a 3 x |M_q| int64 coordinate array in M-index order:
-    the points of `pg_points` off the conic, less the nucleus of even q."""
-    mul = field_tables(model.ctx)[1]
+    the points of `pg_points` off the conic, less the nucleus of even q,
+    sorted by x0, x1, the scalar field log of x1^2 - x0*x2 and x2: (0,1,z)
+    by z, then the rows (1,y,*) by y, each ordered by log(y^2 - z)."""
+    add, mul, neg, _ = field_tables(model.ctx)
     x0, x1, x2 = pg_points(model.ctx, 2).T.astype(np.int64)
-    off = mul[x1, x1] != mul[x0, x2]
+    disc = add[mul[x1, x1], neg[mul[x0, x2]]]
+    off = disc != 0
     if model.nucleus is not None:
         off &= (x0 != 0) | (x2 != 0)
-    return np.stack([x0[off], x1[off], x2[off]])
+    pts = np.stack([x0, x1, x2])[:, off]
+    return pts[:, np.lexsort((pts[2], np.array(model.ctx._log)[disc[off]], pts[1], pts[0]))]
 
 
 def bisecant_mpoints(model, t1, t2):
@@ -148,7 +152,7 @@ def reference_min_ac(model):
         return smallest_ac(range(3, q + 1), lambda s: combinations(params, s))
     start = search.randomized_greedy(model, seed=0, restarts=20)
     best_size, best_witness = start.size, list(start.witness)
-    base_size = min(max(3, best_size - 4), 10)
+    base_size = max(3, best_size - 4)
     if smaller := smallest_ac(range(3, base_size), lambda s: filter_canonical_bases(model, s)):
         return smaller
 

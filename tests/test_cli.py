@@ -64,7 +64,7 @@ EXACT_STDOUT_SLOW = {
 @pytest.mark.parametrize("q", sorted(EXACT_STDOUT_SLOW))
 def test_exact_stdout_pinned_above_27(capsys, q):
     """Budget, measured on a 2-vCPU VM: about 1 s at q=29, 3 s at q=31 and
-    20 s at q=32 (0.6, 2.1 and 13.7 s in one pytest run).  Deselected by
+    8 s at q=32 (0.7, 2.5 and 5.9 s in one pytest run).  Deselected by
     default; `python -m pytest -q -m slow tests` runs it."""
     code, out, err = run(capsys, "exact", str(q))
     assert code == cli.EXIT_OK and err == ""

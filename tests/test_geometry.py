@@ -196,13 +196,22 @@ def test_on_conic_example():
     assert classify_point(model, (1, 3, 2)) == "on-conic"  # 3^2 = 2 mod 7
 
 
-def test_m_index_is_lexicographic():
+def test_m_index_orders_each_row_by_log_discriminant():
+    """M_q is the points of PG(2,q) off the conic less the nucleus, sorted by
+    x0, x1, the scalar field log of x1^2 - x0*x2 and x2: (0,1,z) by z, then
+    the rows (1,y,*) by y, each ordered by log(y^2 - z)."""
     for q in (8, 9):
         model = build_conic_model(q)
-        pts = m_points(model)
-        assert pts == sorted(pts)
+        ctx = model.ctx
+
+        def order(P):
+            x0, x1, x2 = P
+            return x0, x1, ctx._log[ctx.sub(ctx.mul(x1, x1), ctx.mul(x0, x2))], x2
+
         excluded = {conic_point(model, t) for t in model.params} | {model.nucleus}
-        assert pts == [P for P in all_points(q) if P not in excluded]
+        pts = sorted((P for P in all_points(q) if P not in excluded), key=order)
+        assert m_points(model) == pts
+        assert model.m_index(*np.array(pts).T).tolist() == list(range(model.m_size))
 
 
 @pytest.mark.parametrize("q", MODEL_QS)
@@ -234,13 +243,13 @@ def test_model_cache_keeps_only_the_latest():
 # 263 has the widest ADDEXP rows (W = 2048 for 4n = 1048) in uint16
 @pytest.mark.parametrize("q", [128, 256, 263])
 def test_model_arrays_are_quadratic_in_q(q):
-    """The model's arrays take at most 52 q^2 bytes: 8 q^2 for the int32
-    addition and multiplication tables, 8 q^2 for the intp keys, about
-    4 q^2 for LSUB and at most 2q * 8q * 2 bytes for ADDEXP.  A table of
-    sigma_P(t) for every t and P would take 2(q+1)q^2 bytes in int16."""
+    """The model's arrays take at most 44 q^2 bytes: 8 q^2 for the intp
+    keys, about 4 q^2 for LSUB, less than 2q * 8q * 2 bytes for ADDEXP and
+    four int32 arrays of length q; it holds no q x q field table.  A table
+    of sigma_P(t) for every t and P would take 2(q+1)q^2 bytes in int16."""
     model = ConicModel(field_for_order(q))
     total = sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray))
-    assert total <= 52 * q * q
+    assert total <= 44 * q * q
 
 
 def test_non_prime_power_rejected():

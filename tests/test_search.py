@@ -466,7 +466,7 @@ def test_exhaustive_never_above_randomized(q):
 @pytest.mark.parametrize("q", (13, 16))
 def test_exhaustive_finds_sizes_below_the_base_on_canonical_bases(monkeypatch, q):
     # a seed of size q (the conic minus one point) makes the base size
-    # min(q - 4, 10) > t(q), so t(q) is found among the canonical t(q)-bases
+    # q - 4 > t(q), so t(q) is found among the canonical t(q)-bases
     model = build_conic_model(q)
     seed = search.SearchResult(q=q, size=q, witness=model.params[:-1], is_ac=True)
     monkeypatch.setattr(search, "randomized_greedy", lambda *args, **kwargs: seed)
@@ -601,8 +601,10 @@ def test_canonical_levels_match_the_filter_in_combinations_order(q):
 @pytest.mark.slow
 @pytest.mark.parametrize("q", (31, 32))
 def test_canonical_levels_match_the_filter_up_to_10(q):
-    """Every size the base-size rule can pick at the largest q of the
-    paper's table.  The filter takes about 5 s per q on a 2-vCPU VM."""
+    """Sizes 3..10 at the largest q of the paper's table.  The filter takes
+    about 5 s per q on a 2-vCPU VM.  Size 11, the base size the rule picks
+    at q = 32, would filter C(30, 8) rows; the pinned `ac exact 32` output
+    checks that level instead."""
     assert_levels_match_the_filter(q, 10)
 
 
@@ -616,7 +618,7 @@ def test_canonical_8_bases_match_scalar_moebius_oracle(q):
 @pytest.mark.parametrize("q", (8, 9, 11, 13))
 def test_canonical_bases_match_scalar_moebius_oracle_at_every_size(q):
     # base sizes 3..min(q-3, 10): at q = 13, every size the rule
-    # k = min(max(3, g - 4), 10) and the sizes below it can reach at any q
+    # k = max(3, g - 4) and the sizes below it can reach, as g <= q
     model, top = build_conic_model(q), min(q - 3, 10)
     for k, level in zip(range(3, top + 1), _canonical_levels(model, top)):
         assert list(map(tuple, level.tolist())) == oracle_canonical_bases(model, k), k
