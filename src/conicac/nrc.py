@@ -7,8 +7,10 @@ stands for inf, the point (0, ..., 0, 1).  The hyperplane through the
 points with parameters T is sum a_k x_k = 0, where
 prod_{t in T, t != inf} (x - t) = sum a_k x^k: the polynomial vanishes at
 every finite t in T, and a_N = 0 exactly when inf is in T.  The
-completeness check builds every hyperplane from this product and returns
-the points that extend the arc in lexicographic order.
+completeness check walks the sorted (N-1)-prefixes of finite parameters:
+for the product over a prefix, two dot products per point decide every
+hyperplane that completes it (see `completeness_brute`).  It returns the
+points that extend the arc in lexicographic order.
 
 `p0_solve` walks the odd primes in increasing order from a block sieve,
 PRIME_BLOCK odd numbers at a time, and tests each with the scalar margin.
@@ -174,32 +176,49 @@ def completeness_brute(arc: NrcArc):
     """All points P outside the arc with arc u {P} still an arc.
 
     P extends the arc iff it avoids every hyperplane spanned by N arc
-    points.  Each hyperplane comes from the product over its parameters
-    (see the module docstring) and is screened only against the points
-    that no earlier hyperplane has hit; the survivors come out in the
-    lexicographic order of `pg_points`."""
+    points.  Each hyperplane has exactly one sorted prefix T' of N-1 finite
+    parameters, so the walk visits the (N-1)-subsets of 0..q-1 in
+    `combinations` order and settles every hyperplane through T' at once.
+    With prod_{t in T'} (x - t) = sum a_k x^k, put u = sum a_k x_k and
+    v = sum a_k x_{k+1}: P lies on the hyperplane of T' u {t} iff v = t*u,
+    and on that of T' u {inf} iff u = 0.  So P is hit iff v/u (inf when
+    u = 0) is above max(T').  Only the points that no earlier prefix has
+    hit are screened; the survivors come out in the lexicographic order of
+    `pg_points`."""
     ctx, n_dim = arc.field, arc.n_dim
     q = ctx.q
     check_completeness_size(q, n_dim)
-    pts = pg_points(ctx, n_dim)  # Fortran order: contiguous columns
-    add, mul, neg, _ = field_tables(ctx)
-    # tables in the point dtype keep every per-point temporary as narrow as pts
-    add, mul = add.astype(pts.dtype), mul.astype(pts.dtype)
-    cand = np.arange(len(pts), dtype=np.int32)
-    for params in combinations(range(q + 1), n_dim):
-        coef = np.zeros(n_dim + 1, dtype=np.int64)
+    cols = list(pg_points(ctx, n_dim).T)  # contiguous coordinate columns
+    add, mul, neg, inv = field_tables(ctx)
+    quot = mul[inv].astype(np.min_scalar_type(q))  # quot[u, v] = v/u; q (inf) for u = 0
+    quot[0] = q
+    quot = quot.ravel()
+    # the tables, u, v and every partial sum stay in the point dtype; only
+    # the flat indices a*q + b widen, to the smallest dtype that holds q^2 - 1
+    add, mul = add.astype(cols[0].dtype).ravel(), mul.astype(cols[0].dtype)
+    wide = np.min_scalar_type(q * q - 1)
+
+    def dot(coef, xs):  # sum a_k xs[k] over the nonzero a_k; a_{N-1} = 1
+        acc = xs[-1]
+        for a, x in zip(coef[:-1], xs[:-1]):
+            if a:
+                acc = add.take(np.multiply(acc, q, dtype=wide) + mul[a].take(x))
+        return acc
+
+    for prefix in combinations(range(q), n_dim - 1):
+        coef = np.zeros(n_dim, dtype=np.intp)  # constant first
         coef[0] = 1
-        for t in params:
-            if t < q:  # multiply by (x - t); inf (code q) adds no factor
-                coef[1:] = add[coef[:-1], mul[neg[t], coef[1:]]]
-                coef[0] = mul[neg[t], coef[0]]
-        dot = np.zeros(len(cand), dtype=pts.dtype)
-        for i in np.nonzero(coef)[0]:
-            dot = add[dot, mul[coef[i]].take(pts[:, i].take(cand))]
-        cand = cand[dot != 0]
-        if cand.size == 0:
+        for t in prefix:  # multiply by (x - t)
+            m = mul[neg[t]]
+            coef[1:] = add[coef[:-1] * q + m[coef[1:]]]
+            coef[0] = m[coef[0]]
+        # key = v + u*q; v first, so only the narrow v is held while u is summed
+        key = dot(coef, cols[1:]) + np.multiply(dot(coef, cols[:-1]), q, dtype=wide)
+        keep = quot.take(key) <= prefix[-1]
+        cols = [x.compress(keep) for x in cols]
+        if not cols[0].size:
             break
-    return [tuple(int(x) for x in pts[i]) for i in cand]
+    return list(zip(*(x.tolist() for x in cols)))
 
 
 # --- completeness ranges --------------------------------------------------

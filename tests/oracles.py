@@ -5,8 +5,9 @@ the M-points, the M-points of one bisecant, the coverage of a subset as a
 bitset, the covered set and the gain of every candidate of a
 `CoverageState`, sigma_P(t) from the coordinates of P, the canonical
 bases of one size by filtering every candidate, the exhaustive search
-with the plain DFS, the arc test by (N+1)-minors, and
-the kind of a point of PG(2,q) by its discriminant.
+with the plain DFS, the arc test by (N+1)-minors, the NRC completeness
+check one hyperplane at a time, and the kind of a point of PG(2,q) by its
+discriminant.
 
 They also hold the scalar bound curves, one q at a time in plain Python
 floats: bound C (Phi), Theta and its Q1 test, the truncated product f_q
@@ -210,6 +211,32 @@ def is_arc(points, n_dim: int, ctx) -> bool:
         if _det(ctx, sub) == 0:
             return False
     return True
+
+
+def completeness_by_hyperplane(arc):
+    """The points extending the NRC `arc`, in the order of `pg_points`, by
+    building each of the C(q+1, N) hyperplanes from the product over its
+    parameters and screening it against the points no earlier one hit."""
+    ctx, n_dim = arc.field, arc.n_dim
+    q = ctx.q
+    pts = pg_points(ctx, n_dim)
+    add, mul, neg, _ = field_tables(ctx)
+    add, mul = add.astype(pts.dtype), mul.astype(pts.dtype)
+    cand = np.arange(len(pts), dtype=np.int32)
+    for params in combinations(range(q + 1), n_dim):
+        coef = np.zeros(n_dim + 1, dtype=np.int64)
+        coef[0] = 1
+        for t in params:
+            if t < q:  # multiply by (x - t); inf (code q) adds no factor
+                coef[1:] = add[coef[:-1], mul[neg[t], coef[1:]]]
+                coef[0] = mul[neg[t], coef[0]]
+        dot = np.zeros(len(cand), dtype=pts.dtype)
+        for i in np.nonzero(coef)[0]:
+            dot = add[dot, mul[coef[i]].take(pts[:, i].take(cand))]
+        cand = cand[dot != 0]
+        if cand.size == 0:
+            break
+    return [tuple(int(x) for x in pts[i]) for i in cand]
 
 
 def classify_point(model, P) -> str:

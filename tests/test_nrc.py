@@ -12,7 +12,7 @@ from conicac.nrc import (P0_PERSISTENCE, P0_REL_TOL, NrcArc, P0Entry, _c_schedul
                          _odd_primes, _p0_margin, completeness_brute, corollary11_range,
                          gdrs_generator, is_prime, nrc_points, p0_solve)
 from conicac.tables import EXACT_T
-from oracles import is_arc, theta
+from oracles import completeness_by_hyperplane, is_arc, theta
 
 P0_DEFAULT = {
     1: 757, 2: 1399, 3: 2129, 4: 2887, 5: 3623, 6: 4621, 7: 5417, 8: 6247,
@@ -301,6 +301,96 @@ def test_pg_points_match_old_construction():
         want = old_pg_points(ctx, n)
         assert pts.dtype == want.dtype and np.array_equal(pts, want), (q, n)
         assert pts.flags.f_contiguous  # contiguous columns for the screening
+
+
+def _instances(limit):
+    """Every (q, N) with q a prime power in [4, 32], 2 <= N <= q-2 and
+    q^N <= limit."""
+    return [(q, n) for q in range(4, 33) if factor_prime_power(q)
+            for n in range(2, q - 1) if q ** n <= limit]
+
+
+def _check_against_hyperplane_oracle(cases):
+    for q, n in cases:
+        arc = nrc_points(field_for_order(q), n)
+        assert completeness_brute(arc) == completeness_by_hyperplane(arc), (q, n)
+
+
+def test_completeness_matches_hyperplane_oracle():
+    """The prefix walk returns the same points, in the same order, as
+    screening the C(q+1, N) hyperplanes one at a time.  q = 256 and 257
+    take the uint8 and uint16 point dtypes with uint16 and uint32 keys."""
+    cases = _instances(5 * 10 ** 5)
+    assert len(cases) == 47
+    _check_against_hyperplane_oracle(cases + [(256, 2), (257, 2)])
+
+
+@pytest.mark.slow
+def test_completeness_matches_hyperplane_oracle_slow():
+    cases = _instances(2 * 10 ** 6)
+    assert len(cases) == 55
+    _check_against_hyperplane_oracle(cases)
+
+
+def test_prefix_rule_matches_explicit_hyperplanes():
+    """For a prefix T' of N-1 finite parameters with prod_{T'} (x - t) =
+    sum a_k x^k, u = sum a_k P_k and v = sum a_k P_(k+1): P lies on the
+    hyperplane of T' u {t} iff v = t*u, and on that of T' u {inf} iff
+    u = 0.  Checked against the dot product of P with the coefficients of
+    the product over the finite parameters of the N-subset."""
+    rng = np.random.default_rng(7)
+
+    def poly(ctx, params):
+        coef = [1]
+        for t in params:  # multiply by (x - t)
+            m = ctx.neg(t)
+            coef = [ctx.add(a, ctx.mul(m, b)) for a, b in zip([0] + coef, coef + [0])]
+        return coef
+
+    def dot(ctx, coef, xs):
+        acc = 0
+        for a, x in zip(coef, xs):
+            acc = ctx.add(acc, ctx.mul(a, x))
+        return acc
+
+    seen = {True: 0, False: 0}
+    for q, n in ((4, 2), (7, 3), (8, 4), (9, 3), (13, 5), (16, 4), (27, 3)):
+        ctx = field_for_order(q)
+        pts = pg_points(ctx, n)
+        for _ in range(30):
+            prefix = sorted(rng.choice(q, n - 1, replace=False).tolist())
+            P = pts[rng.integers(len(pts))].tolist()
+            a = poly(ctx, prefix)
+            u, v = dot(ctx, a, P[:-1]), dot(ctx, a, P[1:])
+            for t in [t for t in range(q) if t not in prefix] + [q]:
+                plane = poly(ctx, prefix + [t] if t < q else prefix)
+                on_plane = dot(ctx, plane, P) == 0
+                assert on_plane == (u == 0 if t == q else v == ctx.mul(t, u)), (q, n, prefix, P, t)
+                seen[on_plane] += 1
+    assert seen[True] >= 100 and seen[False] >= 1000, seen
+
+
+def _application_instances(limit):
+    """(q, N) for q in EXACT_T, 3 <= N <= min(q-2, q+2-t(q)), q^N <= limit."""
+    return [(q, n) for q, t in EXACT_T.items()
+            for n in range(3, min(q - 2, q + 2 - t) + 1) if q ** n <= limit]
+
+
+def test_nrc_complete_in_exact_t_range():
+    """The paper's application: every NRC in PG(N,q) with
+    3 <= N <= q+2-t(q) is complete, checked by brute force."""
+    cases = _application_instances(2 * 10 ** 6)
+    assert len(cases) == 32
+    for q, n in cases:
+        assert completeness_brute(nrc_points(field_for_order(q), n)) == [], (q, n)
+
+
+@pytest.mark.slow
+def test_nrc_complete_in_exact_t_range_slow():
+    cases = _application_instances(2 * 10 ** 7)
+    assert len(cases) == 38
+    for q, n in cases:
+        assert completeness_brute(nrc_points(field_for_order(q), n)) == [], (q, n)
 
 
 def test_completeness_guard():
