@@ -17,7 +17,7 @@ from . import bounds as bnd
 from . import tables
 from .bounds import BOUNDS_Q_MAX
 from .gf import factor_prime_powers, field_for_order
-from .geometry import build_conic_model
+from .geometry import build_conic_model, check_model_size
 from .nrc import (check_completeness_size, completeness_brute, corollary11_range,
                   nrc_points, p0_solve)
 from .search import check_greedy_args, exhaustive_min_ac, randomized_greedy
@@ -31,6 +31,10 @@ FIG_GRIDS = {"fig1": 253009, "fig2": 14000029}
 BOUNDS_CHUNK = 1 << 13  # q per `curve_emit` call and per write of `ac bounds`
 BOUNDS_ROW = "%d,%s,%.12g,%.12g\n"  # q, name, value, value_star
 EXACT_CEILING = 32  # largest q `ac exact` runs without --force
+# Largest q `ac exact --force` runs: the canonicity test holds the q+1
+# parameter codes in one uint64, and the pair table is C(q+1, 2) masks of
+# q^2 bits, about q^4/16 bytes.
+EXACT_MAX_Q = 61
 
 
 class CliError(Exception):
@@ -43,6 +47,9 @@ def cmd_exact(args) -> int:
         raise CliError(f"q={q} < 5: outside the exact-search scope")
     if q > EXACT_CEILING and not args.force:
         raise CliError(f"q={q} above the exhaustive ceiling {EXACT_CEILING}; use --force")
+    check_model_size(q)  # the refusals every model command gives come first
+    if q > EXACT_MAX_Q:
+        raise CliError(f"q={q} above the exact-search limit {EXACT_MAX_Q}")
     model = build_conic_model(q)
     t, witness = exhaustive_min_ac(model)
     names = ",".join(model.param_name(p) for p in witness)
@@ -170,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact minimum AC-subset size by exhaustive search")
     p.add_argument("q", type=int)
     p.add_argument("--force", action="store_true",
-                   help=f"allow q above the exhaustive ceiling {EXACT_CEILING}")
+                   help=f"allow q above the exhaustive ceiling {EXACT_CEILING}, "
+                   f"up to {EXACT_MAX_Q}")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("search", help="randomized greedy search for small AC-subsets")

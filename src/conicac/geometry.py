@@ -59,8 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import (FieldCtx, FieldError, check_field_size, field_for_order, field_tables,
-                 log_tables)
+from .gf import FieldCtx, FieldError, check_field_size, field_for_order, log_tables
 
 
 def canon_point(ctx: FieldCtx, triple) -> tuple[int, int, int]:
@@ -129,8 +128,7 @@ class ConicModel:
 
         # sigma_P(t) in closed form: the keys and tables of the module docstring
         n = q - 1
-        exp, log, _ = log_tables(ctx)
-        add, _, neg, _ = field_tables(ctx)  # build temporaries only
+        exp, log, zech = log_tables(ctx)
         self._log = log  # log 0 = 2n, so t + 0 in `bisecants` reads the base band of ADDEXP
         self._square = exp.take(2 * log)  # exp reads 0 at 2 log 0 = 4n
         self._run = np.arange(n, dtype=np.int32)
@@ -139,25 +137,47 @@ class ConicModel:
         self._row_start = (q - self._even + np.arange(q) * n).astype(np.int32)
         self._shift = shift = (4 * n - 1).bit_length()  # W = 2^shift >= 4n
         rows = np.arange(q, dtype=np.intp)
-        self.key = np.empty(self.m_size, dtype=np.intp)
-        self.key[:q - self._even] = ((q + rows[self._even:]) << shift) + n  # (0, 1, z)
-        self.key[q - self._even:] = ((rows[:, None] << shift) + n + self._run).ravel()  # (1, y, z)
+        log_neg1 = log[ctx.p - 1]  # -1 has code p - 1
 
+        # the q x q blocks come from the Zech logs, a + b = a*(1 + b/a), in
+        # place where they can, so the build's peak stays near what it holds
         self._lsub = np.empty((q + 1, 2 * q), dtype=np.min_scalar_type(-2 * n))
-        self._lsub[:q, :q] = log.take(add.take(neg, axis=1))  # log(t - y)
+        log_neg = (log + log_neg1) % n  # log(-y); wrong at y = 0, overwritten below
+        diff = log_neg - log[:, None]
+        diff %= n  # log(-y/t)
+        diff = zech.take(diff)  # log(1 - y/t): the sentinel 2n where t = y
+        diff += log[:, None]
+        diff %= n
+        self._lsub[:q, :q] = diff  # log(t - y)
+        del diff
+        self._lsub[0, :q] = log_neg  # t = 0: log(-y)
+        self._lsub[:q, 0] = log  # y = 0: log t
         self._lsub[rows, rows] = -2 * n  # t = y: inf
         self._lsub[q, :q] = -n  # t = inf: y
-        self._lsub[:q, q:] = ((log[neg[1]] - log) % n)[:, None]  # log(-1/t)
+        self._lsub[:q, q:] = ((log_neg1 - log) % n)[:, None]  # log(-1/t)
         self._lsub[0, q:] = -n  # t = 0: z
         self._lsub[q, q:] = -2 * n  # t = inf: inf
 
-        addexp = np.empty((2 * q, 1 << shift), dtype=np.min_scalar_type(q))
-        addexp[:q, :n] = add.take(exp[:n], axis=1)  # base + alpha^j
-        addexp[:q, n:2 * n] = addexp[:q, :n]  # alpha^n = 1
+        plus = self._run - log[:, None]
+        plus %= n  # log(alpha^j / y)
+        plus = zech.take(plus)  # log(1 + alpha^j / y): 2n where y + alpha^j = 0
+        plus += log[:, None]
+        dtype = np.min_scalar_type(q)
+        plus = exp.astype(dtype).take(plus)  # y + alpha^j; exp reads 0 from 2n on
+        plus[0] = exp[:n]  # 0 + alpha^j
+        addexp = np.empty((2 * q, 1 << shift), dtype=dtype)
+        addexp[:q, :n] = addexp[:q, n:2 * n] = plus  # alpha^n = 1
+        del plus
         addexp[:q, 2 * n:3 * n] = rows[:, None]
         addexp[:q, 3 * n:] = q
         addexp[q:] = addexp[:q]
         self._addexp = addexp.ravel()
+
+        self.key = np.empty(self.m_size, dtype=np.intp)
+        self.key[:q - self._even] = ((q + rows[self._even:]) << shift) + n  # (0, 1, z)
+        affine = self.key[q - self._even:].reshape(q, n)  # (1, y, z), filled in place
+        affine[:] = (rows[:, None] << shift) + n
+        affine += self._run
         for table in (self.key, self._lsub, self._addexp):
             table.flags.writeable = False
 
@@ -224,15 +244,24 @@ class ConicModel:
 MODEL_MAX_Q = 4096
 
 
+def check_model_size(q: int) -> None:
+    """ValueError for a q past the field tables, as every command refuses
+    it, or past `MODEL_MAX_Q`; no field is built."""
+    try:
+        check_field_size(q)
+    except FieldError as e:
+        raise ValueError(str(e)) from e
+    if q > MODEL_MAX_Q:
+        raise ValueError(f"q={q} exceeds the conic model limit {MODEL_MAX_Q}")
+
+
 # Kept although the model is O(q^2): worker processes look the model up by
 # q instead of unpickling it, and the benchmark calls `cache_clear` before
 # every operation.
 @lru_cache(maxsize=1)
 def build_conic_model(q: int) -> ConicModel:
+    check_model_size(q)
     try:
-        check_field_size(q)  # a q past the field tables is refused as by every command
-        if q > MODEL_MAX_Q:
-            raise ValueError(f"q={q} exceeds the conic model limit {MODEL_MAX_Q}")
         ctx = field_for_order(q)
     except FieldError as e:
         raise ValueError(str(e)) from e

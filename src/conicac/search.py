@@ -25,11 +25,14 @@ falls on a parameter that is chosen or being chosen, whose gain is never
 read, so no count needs a tangent sentinel.  The greedy passes drive a
 `CoverageState`.  `is_ac_subset` marks the bisecants of every pair of the
 subset, again in closed form.  The exhaustive search keeps Python-int
-bitsets: each DFS node carries, for every candidate c still to come, the
-OR of the pair masks of c with the subset, so the coverage of a child is
-one OR.  A child gets its own list only when it passes the pruning checks
-and its own children can still recurse; the last level, which can only
-complete a cover, is scanned in place.
+bitsets: the pair mask of every bisecant, built per point from one
+`bisecants` call, and at each DFS node, for every candidate c still to
+come, the OR of the pair masks of c with the subset, so the coverage of a
+child is one OR.  A child gets its own list only when it passes the
+pruning checks and its own children can still recurse; the last level,
+which can only complete a cover, is scanned in place.  The counting bound
+is a table of the fewest covered points by best size and subset size,
+compared with the child's popcount.
 
 The exhaustive search seeds its enumeration with one base per PGL(2,q)
 orbit.  PGL(2,q) is sharply 3-transitive, so the map sending an ordered
@@ -46,7 +49,13 @@ giving a base less its largest finite point a smaller image gives the
 whole base one too, so each canonical base is a canonical base one
 smaller plus one larger point.  The cross ratio factors as
 ([t,x]/[t,z]) * ([y,z]/[y,x]): the first factor is taken once per pair
-(x, z), and each y multiplies it by a per-base scalar.
+(x, z), and each y multiplies it by a per-base scalar.  Image and base
+are compared as bitmasks over the q+1 codes, one uint64 each: the sorted
+image is the smaller exactly when the lowest code in one set but not the
+other is in the image, the lowest set bit of image XOR base.  So one
+gather and one OR-reduce test every y of a pair (x, z) at once, with no
+sort.  The candidates of a level go through in fixed-size blocks, so the
+image array of one block, not the level, sets the memory.
 
 AC-ness is invariant under PGL(2,q), so the exhaustive search needs only
 canonical bases, one per orbit (cf. B. D. McKay, "Isomorph-free exhaustive
@@ -296,34 +305,67 @@ def _cross_ratio_factors(ctx: FieldCtx):
     return ratio, times
 
 
+CANONICAL_BLOCK = 1 << 11  # candidate rows per canonicity test block
+
+
+def _drop_non_canonical(rows, ratio, bit, image_bits):
+    """The rows of one block of candidates, in order, that no map sending an
+    ordered triple (x, y, z) of them to (0, 1, inf) makes lexicographically
+    smaller.  bit[c] is the mask of code c and image_bits[a, b] that of
+    times[a, b]; for each ordered pair (x, z) one gather gives the image
+    bits of every t under every y at once, (rows, s-2, s)."""
+    s = rows.shape[1]
+    own = np.bitwise_or.reduce(bit[rows], axis=1)
+    for x, z in permutations(range(s), 2):
+        ys = [y for y in range(s) if y != x and y != z]
+        at_x, at_z = rows[:, [x]], rows[:, [z]]
+        f = ratio(rows, at_x, at_z)
+        scale = ratio(rows[:, ys], at_z, at_x)
+        image = np.bitwise_or.reduce(image_bits[f[:, None, :], scale[:, :, None]], axis=2)
+        diff = image ^ own[:, None]
+        keep = ~(diff & -diff & image).any(axis=1)  # lowest differing code is the image's
+        rows, own = rows[keep], own[keep]
+    return rows
+
+
 def _canonical_levels(model: ConicModel, k: int):
     """The canonical bases of sizes 3, 4, ..., k, one (count, s) array per
     size s, in `combinations` order.  Level 3 is (0, 1, inf); the
     candidates of level s+1 are each base of level s, in order, followed
-    by each point above its largest finite one, ascending.  A candidate
-    is dropped as soon as the map sending an ordered triple of it to
-    (0, 1, inf) gives a lexicographically smaller sorted image.  For each
-    ordered pair (x, z) of base positions the factor [t,x]/[t,z] is taken
-    once per element, and each y scales it by the per-row [y,z]/[y,x]."""
+    by each point above its largest finite one, ascending, and go through
+    `_drop_non_canonical` in blocks of `CANONICAL_BLOCK` rows.  The code
+    masks are uint64, so q <= 63."""
     q = model.q
+    if q + 1 > 64:
+        raise ValueError(f"q={q}: the q+1 parameter codes do not fit one uint64 mask")
     ratio, times = _cross_ratio_factors(model.ctx)
+    bit = np.uint64(1) << np.arange(q + 1, dtype=np.uint64)
+    image_bits = bit[times]
     bases = np.array([[0, 1, q]], dtype=times.dtype)
     yield bases
     for s in range(4, k + 1):
         last = bases[:, -2].tolist()
         new = np.concatenate([np.arange(e + 1, q) for e in last])
-        bases = np.insert(np.repeat(bases, [q - 1 - e for e in last], axis=0), s - 2, new, axis=1)
-        for x, z in permutations(range(s), 2):
-            f = ratio(bases, bases[:, [x]], bases[:, [z]])
-            for y in range(s):
-                if y == x or y == z:
-                    continue
-                img = np.sort(times[f, ratio(bases[:, [y]], bases[:, [z]], bases[:, [x]])], axis=1)
-                first = (img != bases).argmax(axis=1)[:, None]
-                smaller = np.take_along_axis(img, first, 1) < np.take_along_axis(bases, first, 1)
-                keep = ~smaller.ravel()
-                bases, f = bases[keep], f[keep]
+        cands = np.insert(np.repeat(bases, [q - 1 - e for e in last], axis=0), s - 2, new, axis=1)
+        bases = np.concatenate([
+            _drop_non_canonical(cands[i:i + CANONICAL_BLOCK], ratio, bit, image_bits)
+            for i in range(0, len(cands), CANONICAL_BLOCK)])
         yield bases
+
+
+def _pair_masks(model: ConicModel) -> list[list[int]]:
+    """pair[t][u]: the Python-int bitmask over M_q of the bisecant {t, u},
+    0 on the diagonal.  Each t gets its bisecants to every larger parameter
+    from one `bisecants` call, one scatter and one row-wise `packbits`."""
+    params, m_size = model.params, model.m_size
+    pair = [[0] * len(params) for _ in params]
+    for t in params[:-1]:
+        rest = params[t + 1:]
+        flags = np.zeros((len(rest), m_size), dtype=bool)
+        flags[np.arange(len(rest)).repeat(model.q - 1), model.bisecants(t, rest)] = True
+        for u, row in zip(rest, np.packbits(flags, axis=1, bitorder="little")):
+            pair[t][u] = pair[u][t] = int.from_bytes(row.tobytes(), "little")
+    return pair
 
 
 def exhaustive_min_ac(model: ConicModel):
@@ -338,10 +380,7 @@ def exhaustive_min_ac(model: ConicModel):
     params = model.params
     full = model.full_mask
     qm1 = q - 1
-    # pair[t][u]: bitmask of the bisecant {t, u} (0 on the diagonal)
-    pair = [[0] * len(params) for _ in params]
-    for t, u in combinations(params, 2):
-        pair[t][u] = pair[u][t] = model.pair_mask(t, u)
+    pair = _pair_masks(model)
 
     def cover(subset):
         mask = 0
@@ -371,10 +410,11 @@ def exhaustive_min_ac(model: ConicModel):
     if smaller := smallest_ac(zip(range(3, base_size), levels)):
         return smaller
 
-    def short(s, mask):
-        # r = best_size - 1 - s more points add at most
-        # (C(s+r,2)-C(s,2))*(q-1) covered points
-        return (math.comb(best_size - 1, 2) - math.comb(s, 2)) * qm1 < model.m_size - mask.bit_count()
+    # need[b][s]: the fewest covered points from which s points can still
+    # grow into a cover of size b - 1, as r = b - 1 - s more points cover at
+    # most (C(s+r,2) - C(s,2))*(q-1) more
+    need = [[model.m_size - (math.comb(b - 1, 2) - math.comb(s, 2)) * qm1 for s in range(b)]
+            for b in range(best_size + 1)]
 
     def extend(subset, covered, cands, acc):
         """Visit the children subset + [cands[j]], whose coverage is
@@ -387,7 +427,7 @@ def exhaustive_min_ac(model: ConicModel):
             mask = covered | acc[j]
             if mask == full:
                 best_size, best_witness = s, subset + [t]
-            elif s + 1 < best_size and not short(s, mask):
+            elif s + 1 < best_size and mask.bit_count() >= need[best_size][s]:
                 # zero-gain extensions still recurse: they enable later coverage
                 row, rest = pair[t], cands[j + 1:]
                 if s + 2 < best_size:
@@ -403,7 +443,7 @@ def exhaustive_min_ac(model: ConicModel):
         if covered == full:
             if base_size < best_size:
                 best_size, best_witness = base_size, subset
-        elif base_size + 1 < best_size and not short(base_size, covered):
+        elif base_size + 1 < best_size and covered.bit_count() >= need[best_size][base_size]:
             rest = [t for t in params if t not in subset]
             acc = [0] * len(rest)
             for u in subset:

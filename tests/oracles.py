@@ -3,7 +3,8 @@
 They answer questions the library itself never asks: the coordinates of
 the M-points, the M-points of one bisecant, the coverage of a subset as a
 bitset, the covered set and the gain of every candidate of a
-`CoverageState`, sigma_P(t) from the coordinates of P, the canonical
+`CoverageState`, sigma_P(t) from the coordinates of P, the model's
+sigma tables from the q x q field tables, the canonical
 bases of one size by filtering every candidate, the exhaustive search
 with the plain DFS, the arc test by (N+1)-minors, the NRC completeness
 check one hyperplane at a time, and the kind of a point of PG(2,q) by its
@@ -93,6 +94,32 @@ def closed_form_sigma(model):
         return np.where(t == q, np.where(a == 1, b, q), value)
 
     return sigma
+
+
+def lsub_addexp_by_field_tables(model):
+    """The model's LSUB and flattened ADDEXP built from the q x q
+    `field_tables`: log(t - y) as the log of the addition table read at
+    (t, -y), and base + alpha^j as the addition table read at
+    (base, alpha^j).  The reference for the Zech-log build of
+    `ConicModel.__init__`."""
+    q, n = model.q, model.q - 1
+    add, _, neg, _ = field_tables(model.ctx)
+    log, exp = np.array(model.ctx._log), np.array(model.ctx._exp)
+    rows = np.arange(q)
+    lsub = np.empty_like(model._lsub)
+    lsub[:q, :q] = log.take(add.take(neg, axis=1))  # log(t - y)
+    lsub[rows, rows] = -2 * n
+    lsub[q, :q] = -n
+    lsub[:q, q:] = ((log[neg[1]] - log) % n)[:, None]  # log(-1/t)
+    lsub[0, q:] = -n
+    lsub[q, q:] = -2 * n
+    addexp = np.empty((2 * q, len(model._addexp) // (2 * q)), dtype=model._addexp.dtype)
+    addexp[:q, :n] = add.take(exp[:n], axis=1)  # base + alpha^j
+    addexp[:q, n:2 * n] = addexp[:q, :n]
+    addexp[:q, 2 * n:3 * n] = rows[:, None]
+    addexp[:q, 3 * n:] = q
+    addexp[q:] = addexp[:q]
+    return lsub, addexp.ravel()
 
 
 def filter_canonical_bases(model, base_size):

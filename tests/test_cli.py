@@ -63,9 +63,10 @@ EXACT_STDOUT_SLOW = {
 @pytest.mark.slow
 @pytest.mark.parametrize("q", sorted(EXACT_STDOUT_SLOW))
 def test_exact_stdout_pinned_above_27(capsys, q):
-    """Budget, measured on a 2-vCPU VM: about 1 s at q=29, 3 s at q=31 and
-    8 s at q=32 (0.7, 2.5 and 5.9 s in one pytest run).  Deselected by
-    default; `python -m pytest -q -m slow tests` runs it."""
+    """Budget, measured on a 2-vCPU VM: about 0.8 s at q=29, 2 s at q=31
+    and 5 s at q=32 in a fresh process (0.4, 1.8 and 6.0 s in one pytest
+    run).  Deselected by default; `python -m pytest -q -m slow tests` runs
+    it."""
     code, out, err = run(capsys, "exact", str(q))
     assert code == cli.EXIT_OK and err == ""
     assert out == EXACT_STDOUT_SLOW[q] + "\n"
@@ -79,6 +80,16 @@ def test_exact_ceiling_checked_before_model_build(capsys, monkeypatch):
     code, out, err = run(capsys, "exact", "64")
     assert code == cli.EXIT_USAGE and out == ""
     assert "ceiling" in err and "Traceback" not in err
+
+
+def test_exact_limit_checked_before_model_build(capsys, monkeypatch):
+    def no_build(q):
+        raise AssertionError("model built for a refused q")
+
+    monkeypatch.setattr(cli, "build_conic_model", no_build)
+    code, out, err = run(capsys, "exact", str(cli.EXACT_MAX_Q + 3), "--force")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "limit" in err and "Traceback" not in err
 
 
 def test_exact_force_passes_the_ceiling(capsys, monkeypatch):

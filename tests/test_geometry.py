@@ -6,7 +6,8 @@ import pytest
 
 from conicac.geometry import ConicModel, build_conic_model, canon_point, pack_mask
 from conicac.gf import factor_prime_power, field_for_order, field_tables
-from oracles import bisecant_mpoints, classify_point, closed_form_sigma, m_coords
+from oracles import (bisecant_mpoints, classify_point, closed_form_sigma,
+                     lsub_addexp_by_field_tables, m_coords)
 
 MODEL_QS = [q for q in range(4, 33) if factor_prime_power(q)]
 
@@ -250,6 +251,16 @@ def test_model_arrays_are_quadratic_in_q(q):
     model = ConicModel(field_for_order(q))
     total = sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray))
     assert total <= 44 * q * q
+
+
+@pytest.mark.parametrize("q", MODEL_QS)
+def test_sigma_tables_match_the_field_table_build(q):
+    """LSUB and ADDEXP, built from the Zech logs, equal the tables built
+    from the q x q addition table."""
+    model = build_conic_model(q)
+    lsub, addexp = lsub_addexp_by_field_tables(model)
+    assert np.array_equal(model._lsub, lsub)
+    assert np.array_equal(model._addexp, addexp)
 
 
 def test_non_prime_power_rejected():

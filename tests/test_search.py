@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import conicac
-from conicac import search
+from conicac import cli, search
+from conicac.bounds import bound_a_trace, prime_powers_up_to
 from conicac.geometry import ConicModel, build_conic_model
 from conicac.gf import factor_prime_power, field_for_order
 from conicac.search import (CoverageState, _canonical_levels, _cross_ratio_factors,
-                            exhaustive_min_ac, is_ac_subset, is_minimal_ac,
+                            _pair_masks, exhaustive_min_ac, is_ac_subset, is_minimal_ac,
                             randomized_greedy)
 from conicac.tables import EXACT_T
 from oracles import (closed_form_sigma, coverage_mask, covered, filter_canonical_bases,
@@ -440,6 +441,31 @@ def test_randomized_greedy_zero_prob_is_greedy_quality():
         assert delta >= -((w_prev - 2) * u_before // -(9 + 1 - w_prev))
 
 
+def assert_greedy_under_bound_a(q, seed):
+    """With no random steps every greedy step takes a maximal gain, so after
+    w >= 5 chosen points at most U_w of `bound_a_trace(q)` stay uncovered
+    (the paper's averaging argument; the trace may end below 0, and U_w
+    is 0 from there on)."""
+    bound = dict(bound_a_trace(q).steps)
+    res = randomized_greedy(build_conic_model(q), seed=seed, restarts=1, random_step_prob=0.0)
+    for w, _, uncovered in res.step_log:
+        if w >= 5:
+            assert uncovered <= max(bound.get(w, 0), 0), (q, seed, w)
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("q", [q for q in prime_powers_up_to(128) if q >= 7])
+def test_greedy_stays_under_bound_a(q, seed):
+    assert_greedy_under_bound_a(q, seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("q", [q for q in prime_powers_up_to(512) if q > 128])
+def test_greedy_stays_under_bound_a_up_to_512(q, seed):
+    assert_greedy_under_bound_a(q, seed)
+
+
 def test_randomized_greedy_validates_restarts():
     model = build_conic_model(5)
     with pytest.raises(ValueError):
@@ -479,6 +505,13 @@ def test_exhaustive_finds_sizes_below_the_base_on_canonical_bases(monkeypatch, q
 def test_exhaustive_matches_the_reference_dfs(q):
     model = build_conic_model(q)
     assert exhaustive_min_ac(model) == reference_min_ac(model)
+
+
+@pytest.mark.parametrize("q", [q for q in MODEL_QS if q >= 5])
+def test_pair_masks_match_pair_mask(q):
+    model = build_conic_model(q)
+    assert _pair_masks(model) == [[model.pair_mask(t, u) for u in model.params]
+                                  for t in model.params]
 
 
 def test_exhaustive_builds_the_cross_ratio_tables_once(monkeypatch):
@@ -596,6 +629,11 @@ def test_canonical_bases_match_scalar_moebius_oracle(q):
 def test_canonical_levels_match_the_filter_in_combinations_order(q):
     # sizes 3..min(q-3, 10), as in the scalar-oracle test below
     assert_levels_match_the_filter(q, min(q - 3, 10))
+
+
+def test_canonical_levels_match_the_filter_at_the_exact_limit():
+    # q = 61 puts inf on bit 61 of the uint64 code masks
+    assert_levels_match_the_filter(cli.EXACT_MAX_Q, 6)
 
 
 @pytest.mark.slow
