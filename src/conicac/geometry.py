@@ -3,13 +3,13 @@
 Conic points are indexed by a parameter t in F_q u {inf}; the point at
 infinity is encoded as the code q (one past the field range) so arrays of
 size q+1 stay dense.  Plane points are canonical triples (0,0,1), (0,1,z)
-and (1,y,z); `pg_points` lists them in lexicographic order.  The off-conic
-point set M_q is the points with x1^2 != x0*x2 except the nucleus (0,1,0)
-of even q, q^2 - [q even] in all.  The model keeps no coordinates for
-them: `ConicModel.m_index` indexes them in closed form, (0,1,z) as
-z - [q even] and (1,y,z) as q - [q even] + y*(q-1) + log(y^2 - z), so each
-row y lists its q-1 points by the field log of y^2 - z, nonzero off the
-conic.  The order keeps bitset layouts reproducible.
+and (1,y,z).  The off-conic point set M_q is the points with
+x1^2 != x0*x2 except the nucleus (0,1,0) of even q, q^2 - [q even] in
+all.  The model keeps no coordinates for them: `ConicModel.m_index`
+indexes them in closed form, (0,1,z) as z - [q even] and (1,y,z) as
+q - [q even] + y*(q-1) + log(y^2 - z), so each row y lists its q-1
+points by the field log of y^2 - z, nonzero off the conic.  The order
+keeps bitset layouts reproducible.
 
 The bisecant of {t1, t2} is the line [t1*t2, -(t1+t2), 1], and the
 bisecant of {t, inf} is x1 = t*x0; `ConicModel.bisecants` lists their
@@ -74,27 +74,6 @@ def canon_point(ctx: FieldCtx, triple) -> tuple[int, int, int]:
     if x2:
         return (0, 0, 1)
     raise ValueError("zero triple has no projective point")
-
-
-def pg_points(ctx: FieldCtx, n_dim: int) -> np.ndarray:
-    """All (q^(N+1)-1)/(q-1) canonical points of PG(N,q) as code rows in
-    lexicographic order, (0,...,0,1) first, in the smallest unsigned dtype
-    that holds q-1 (uint8 for q <= 256).  The array is in Fortran order, so
-    each coordinate column is contiguous; it is filled block by block of
-    leading coordinate, each digit column a repeat/tile of 0..q-1."""
-    q = ctx.q
-    dtype = np.min_scalar_type(q - 1)
-    digits = np.arange(q, dtype=dtype)
-    pts = np.zeros(((q ** (n_dim + 1) - 1) // (q - 1), n_dim + 1), dtype=dtype, order="F")
-    row = 0
-    for lead in range(n_dim, -1, -1):
-        free = n_dim - lead
-        block = pts[row:row + q ** free]
-        block[:, lead] = 1
-        for j in range(free):
-            block[:, lead + 1 + j] = np.tile(np.repeat(digits, q ** (free - 1 - j)), q ** j)
-        row += len(block)
-    return pts
 
 
 def pack_mask(flags) -> int:

@@ -31,6 +31,7 @@ class FieldError(ValueError):
 
 
 FIELD_MAX_Q = 1 << 20  # the tables hold O(q) Python ints
+TABLE_BLOCK = 1 << 16  # entries per step of the `field_tables` build
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -200,16 +201,21 @@ def log_tables(ctx: FieldCtx):
     return tuple(np.array(t, dtype=np.int32) for t in (ctx._exp, ctx._log, ctx._zech))
 
 
-def field_tables(ctx: FieldCtx):
-    """The field as int32 arrays: q x q addition and multiplication
+def field_tables(ctx: FieldCtx, dtype=np.int32):
+    """The field as arrays in `dtype`: q x q addition and multiplication
     tables, and the length-q negation and inverse tables (inv[0] = 0).
     Each entry is the scalar method's lookup, done for all elements at
-    once."""
+    once.  The q x q tables are filled about TABLE_BLOCK entries at a time,
+    so no q x q index array is made."""
     q, n = ctx.q, ctx._n
     exp, log, zech = log_tables(ctx)
-    la, lb = log[:, None], log[None, :]
-    mul = exp[la + lb]
-    add = exp[la + zech.take(lb - la, mode="wrap")]  # wrap: index mod n
+    exp = exp.astype(dtype)
+    add, mul = np.empty((q, q), dtype=dtype), np.empty((q, q), dtype=dtype)
+    rows = max(1, TABLE_BLOCK // q)
+    for lo in range(0, q, rows):
+        la = log[lo:lo + rows, None]
+        mul[lo:lo + rows] = exp[la + log]
+        add[lo:lo + rows] = exp[la + zech.take(log - la, mode="wrap")]  # wrap: index mod n
     add[0] = add[:, 0] = np.arange(q)  # a + 0 = a; the Zech form needs a, b != 0
     neg = exp[log + log[ctx.p - 1]]
     inv = exp[n - log]

@@ -9,7 +9,9 @@ prod_{t in T, t != inf} (x - t) = sum a_k x^k: the polynomial vanishes at
 every finite t in T, and a_N = 0 exactly when inf is in T.  The
 completeness check walks the sorted (N-1)-prefixes of finite parameters:
 for the product over a prefix, two dot products per point decide every
-hyperplane that completes it (see `completeness_brute`).  It returns the
+hyperplane that completes it (see `completeness_brute`).  Its first
+SCREEN_HEAD prefixes meet the points of PG(N,q) one closed-form block of
+`point_blocks` at a time, so no array holds every point.  It returns the
 points that extend the arc in lexicographic order.
 
 `p0_solve` walks the odd primes in increasing order from a block sieve,
@@ -21,16 +23,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import numpy as np
 
-from .geometry import pg_points
 from .gf import FieldCtx, field_tables, is_prime, primes_up_to  # is_prime: re-exported
 from .bounds import theta_values
 
-COMPLETENESS_GUARD = 10 ** 8  # refuse instances with q^N beyond this
+# Refuse instances with q^N beyond this.  Memory follows SCREEN_BLOCK and
+# the survivors, not q^N, so the guard bounds time: (97,4), q^N = 8.9e7,
+# takes about 2 s.
+COMPLETENESS_GUARD = 10 ** 8
 PRIME_BLOCK = 1 << 15  # odd numbers per block of the `_odd_primes` sieve
+SCREEN_BLOCK = 1 << 16  # most points per block of the completeness screen
+SCREEN_HEAD = 8  # prefixes screened block by block before the survivors are joined
 
 
 def _odd_primes():
@@ -172,6 +178,28 @@ def check_completeness_size(q: int, n_dim: int) -> None:
         raise ValueError(f"instance too large: q^N > {COMPLETENESS_GUARD}")
 
 
+def point_blocks(q: int, n_dim: int):
+    """The canonical points of PG(N,q), in lexicographic order with
+    (0,...,0,1) first, as blocks (fixed, tail) of at most SCREEN_BLOCK
+    points (one point when SCREEN_BLOCK < q).  A block fixes the leading 1
+    and every digit but the last f: fixed holds the first N+1-f coordinates
+    as ints, tail the last f as contiguous columns in the smallest unsigned
+    dtype that holds q-1.  Every tail is a view of one repeat/tile template
+    of the last F digits, F the largest f in use: its first q^f rows are
+    the template of f digits."""
+    dtype = np.min_scalar_type(q - 1)
+    big = 0
+    while big < n_dim and q ** (big + 1) <= SCREEN_BLOCK:
+        big += 1
+    digits = np.arange(q, dtype=dtype)
+    template = [np.tile(np.repeat(digits, q ** (big - 1 - j)), q ** j) for j in range(big)]
+    for lead in range(n_dim, -1, -1):
+        f = min(n_dim - lead, big)
+        tail = [x[:q ** f] for x in template[big - f:]]
+        for fixed in product(range(q), repeat=n_dim - lead - f):
+            yield (0,) * lead + (1,) + fixed, tail
+
+
 def completeness_brute(arc: NrcArc):
     """All points P outside the arc with arc u {P} still an arc.
 
@@ -183,41 +211,84 @@ def completeness_brute(arc: NrcArc):
     v = sum a_k x_{k+1}: P lies on the hyperplane of T' u {t} iff v = t*u,
     and on that of T' u {inf} iff u = 0.  So P is hit iff v/u (inf when
     u = 0) is above max(T').  Only the points that no earlier prefix has
-    hit are screened; the survivors come out in the lexicographic order of
-    `pg_points`."""
+    hit are screened; the survivors come out in lexicographic order.
+
+    An instance of more than SCREEN_BLOCK points meets its first SCREEN_HEAD
+    prefixes one `point_blocks` block at a time, so memory follows the
+    block and the survivors, not PG(N,q).  In a block u and v are the sum
+    over the fixed coordinates, one scalar, plus the sum over the tail,
+    which is the same for every block with f tail digits and is made once
+    per f."""
     ctx, n_dim = arc.field, arc.n_dim
     q = ctx.q
     check_completeness_size(q, n_dim)
-    cols = list(pg_points(ctx, n_dim).T)  # contiguous coordinate columns
-    add, mul, neg, inv = field_tables(ctx)
-    quot = mul[inv].astype(np.min_scalar_type(q))  # quot[u, v] = v/u; q (inf) for u = 0
-    quot[0] = q
-    quot = quot.ravel()
+    dtype = np.min_scalar_type(q - 1)
+    add, mul, neg, inv = field_tables(ctx, dtype)
+    quot = mul[inv].astype(np.min_scalar_type(q), copy=False)  # quot[u, v] = v/u
+    quot[0] = q  # inf
+    flat, quot = add.ravel(), quot.ravel()
     # the tables, u, v and every partial sum stay in the point dtype; only
     # the flat indices a*q + b widen, to the smallest dtype that holds q^2 - 1
-    add, mul = add.astype(cols[0].dtype).ravel(), mul.astype(cols[0].dtype)
     wide = np.min_scalar_type(q * q - 1)
 
     def dot(coef, xs):  # sum a_k xs[k] over the nonzero a_k; a_{N-1} = 1
         acc = xs[-1]
         for a, x in zip(coef[:-1], xs[:-1]):
             if a:
-                acc = add.take(np.multiply(acc, q, dtype=wide) + mul[a].take(x))
+                acc = flat.take(np.multiply(acc, q, dtype=wide) + mul[a].take(x))
         return acc
 
-    for prefix in combinations(range(q), n_dim - 1):
-        coef = np.zeros(n_dim, dtype=np.intp)  # constant first
-        coef[0] = 1
-        for t in prefix:  # multiply by (x - t)
-            m = mul[neg[t]]
-            coef[1:] = add[coef[:-1] * q + m[coef[1:]]]
-            coef[0] = m[coef[0]]
-        # key = v + u*q; v first, so only the narrow v is held while u is summed
-        key = dot(coef, cols[1:]) + np.multiply(dot(coef, cols[:-1]), q, dtype=wide)
-        keep = quot.take(key) <= prefix[-1]
-        cols = [x.compress(keep) for x in cols]
+    def scalar_dot(coef, xs):  # the same sum over int coordinates
+        acc = 0
+        for a, x in zip(coef, xs):
+            if a and x:
+                acc = int(add[acc, mul[a, x]])
+        return acc
+
+    def prefixes():  # (a_0..a_{N-1}, max T') for each prefix T', in order
+        polys, last = [[1] + [0] * (n_dim - 1)], ()  # polys[j]: the product over T'[:j]
+        for prefix in combinations(range(q), n_dim - 1):
+            same = next((j for j, (s, t) in enumerate(zip(last, prefix)) if s != t), 0)
+            del polys[same + 1:]
+            for t in prefix[same:]:  # multiply by (x - t), constant first
+                c, m = polys[-1], mul[neg[t]]
+                polys.append([int(m[c[0]])] + [int(add[a, m[b]]) for a, b in zip(c, c[1:])])
+            last = prefix
+            yield polys[-1], prefix[-1]
+
+    walk = prefixes()
+    total = (q ** (n_dim + 1) - 1) // (q - 1)
+    head = list(islice(walk, SCREEN_HEAD)) if total > SCREEN_BLOCK else []
+    tails = {}  # f -> (u, v) over the tail for each head prefix
+    parts = []
+    for fixed, tail in point_blocks(q, n_dim):
+        f = len(tail)
+        if f not in tails:
+            cols = [np.zeros(q ** f, dtype=dtype)] * (n_dim + 1 - f) + tail
+            tails[f] = [(dot(coef, cols[:-1]), dot(coef, cols[1:])) for coef, _ in head]
+        idx = None  # the block's survivors; None while every point survives
+        for (coef, top), (u, v) in zip(head, tails[f]):
+            if idx is not None:
+                u, v = u.take(idx), v.take(idx)
+            su, sv = scalar_dot(coef, fixed), scalar_dot(coef, fixed[1:])
+            u = add[su].take(u) if su else u
+            v = add[sv].take(v) if sv else v
+            keep = quot.take(v + np.multiply(u, q, dtype=wide)) <= top
+            idx = np.flatnonzero(keep) if idx is None else idx.compress(keep)
+            if not idx.size:
+                break
+        size = q ** f if idx is None else idx.size
+        parts.append([np.full(size, x, dtype=dtype) for x in fixed]
+                     + [x if idx is None else x.take(idx) for x in tail])
+    cols = [np.concatenate(c) for c in zip(*parts)]
+    del parts
+    for coef, top in walk:
         if not cols[0].size:
             break
+        # key = v + u*q; v first, so only the narrow v is held while u is summed
+        key = dot(coef, cols[1:]) + np.multiply(dot(coef, cols[:-1]), q, dtype=wide)
+        keep = quot.take(key) <= top
+        cols = [x.compress(keep) for x in cols]
     return list(zip(*(x.tolist() for x in cols)))
 
 

@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -262,6 +261,7 @@ def randomized_greedy(model: ConicModel, seed: int, restarts: int,
     if jobs == 1:
         results = _run_restart_chunk(model, seed, range(restarts), random_step_prob)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only here: about 20 ms to import
         chunks = [list(range(k, restarts, jobs)) for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futs = [pool.submit(_pool_restart_chunk, model.q, seed, c, random_step_prob)
@@ -290,7 +290,7 @@ def _cross_ratio_factors(ctx: FieldCtx):
     q, n = ctx.q, ctx.q + 1
     dtype = np.min_scalar_type(q)
     index = np.min_scalar_type(n ** 3 - 1)
-    add, mul, neg, inv = (table.astype(dtype) for table in field_tables(ctx))
+    add, mul, neg, inv = field_tables(ctx, dtype)
     u = np.append(np.arange(q), 1)
     v = np.append(np.ones(q, dtype=np.int64), 0)
     det = add[mul[u, v[:, None]], neg[mul[u[:, None], v]]]  # det[x, t] = [t,x]

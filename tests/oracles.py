@@ -1,14 +1,14 @@
 """Reference readers shared by the tests, imported as `from oracles import ...`.
 
-They answer questions the library itself never asks: the coordinates of
-the M-points, the M-points of one bisecant, the coverage of a subset as a
-bitset, the covered set and the gain of every candidate of a
-`CoverageState`, sigma_P(t) from the coordinates of P, the model's
-sigma tables from the q x q field tables, the canonical
-bases of one size by filtering every candidate, the exhaustive search
-with the plain DFS, the arc test by (N+1)-minors, the NRC completeness
-check one hyperplane at a time, and the kind of a point of PG(2,q) by its
-discriminant.
+They answer questions the library itself never asks: every point of
+PG(N,q) in one array, the coordinates of the M-points, the M-points of
+one bisecant, the coverage of a subset as a bitset, the covered set and
+the gain of every candidate of a `CoverageState`, sigma_P(t) from the
+coordinates of P, the model's sigma tables from the q x q field tables,
+the canonical bases of one size by filtering every candidate, the
+exhaustive search with the plain DFS, the arc test by (N+1)-minors, the
+NRC completeness check one hyperplane at a time, and the kind of a point
+of PG(2,q) by its discriminant.
 
 They also hold the scalar bound curves, one q at a time in plain Python
 floats: bound C (Phi), Theta and its Q1 test, the truncated product f_q
@@ -24,9 +24,27 @@ import numpy as np
 
 from conicac import search
 from conicac.bounds import bound_a_trace, bound_b, sqrt_qlnq
-from conicac.geometry import pack_mask, pg_points
+from conicac.geometry import pack_mask
 from conicac.gf import factor_prime_power, field_tables
 from conicac.search import _covered_flags
+
+
+def pg_points(ctx, n_dim):
+    """All (q^(N+1)-1)/(q-1) canonical points of PG(N,q) as code rows in
+    lexicographic order, (0,...,0,1) first, in the smallest unsigned dtype
+    that holds q-1: one block per position of the leading 1, whose free
+    digits are read off the row number."""
+    q = ctx.q
+    blocks = []
+    for lead in range(n_dim, -1, -1):
+        free = n_dim - lead
+        idx = np.arange(q ** free)
+        block = np.zeros((idx.size, n_dim + 1), dtype=np.min_scalar_type(q - 1))
+        block[:, lead] = 1
+        for j in range(free):
+            block[:, lead + 1 + j] = (idx // q ** (free - 1 - j)) % q
+        blocks.append(block)
+    return np.concatenate(blocks, axis=0)
 
 
 def m_coords(model):

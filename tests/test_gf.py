@@ -209,6 +209,17 @@ def numpy_field_oracle(p, m):
     return add, mul, neg, inv
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 27, 31, 256, 257, 1031])
+def test_field_tables_in_any_dtype_by_row_blocks(q, monkeypatch):
+    """`field_tables` in the smallest unsigned dtype holding q-1, filled
+    three rows per step, equals the numpy oracle."""
+    monkeypatch.setattr(gf, "TABLE_BLOCK", 3 * q + 1)
+    dtype = np.min_scalar_type(q - 1)
+    tables = field_tables(field_for_order(q), dtype)
+    for got, want in zip(tables, numpy_field_oracle(*factor_prime_power(q))):
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("q", [q for q in PRIME_POWERS_64 if q >= 4] + [121, 125, 128, 243, 256])
 def test_field_matches_numpy_oracle(q):
     p, m = factor_prime_power(q)

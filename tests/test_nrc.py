@@ -1,18 +1,19 @@
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
 
 from conicac.bounds import prime_powers_up_to
-from conicac.geometry import build_conic_model, canon_point, pg_points
+from conicac.geometry import build_conic_model, canon_point
 from conicac import nrc
 from conicac.gf import factor_prime_power, field_for_order
 from conicac.nrc import (P0_PERSISTENCE, P0_REL_TOL, NrcArc, P0Entry, _c_schedule,
                          _odd_primes, _p0_margin, completeness_brute, corollary11_range,
-                         gdrs_generator, is_prime, nrc_points, p0_solve)
+                         gdrs_generator, is_prime, nrc_points, p0_solve, point_blocks)
 from conicac.tables import EXACT_T
-from oracles import completeness_by_hyperplane, is_arc, theta
+from oracles import completeness_by_hyperplane, is_arc, pg_points, theta
 
 P0_DEFAULT = {
     1: 757, 2: 1399, 3: 2129, 4: 2887, 5: 3623, 6: 4621, 7: 5417, 8: 6247,
@@ -263,12 +264,22 @@ def test_completeness_extension_points_pg6_8():
         assert P not in arc.points and is_arc(arc.points + [P], 6, ctx)
 
 
+def _block_rows(q, n):
+    """The `point_blocks` of PG(n,q), each as one array of code rows."""
+    dtype = np.min_scalar_type(q - 1)
+    return [np.column_stack([np.full(q ** len(tail), x, dtype=dtype) for x in fixed] + tail)
+            for fixed, tail in point_blocks(q, n)]
+
+
 @pytest.mark.parametrize("q, n, dtype", [(4, 3, np.uint8), (16, 2, np.uint8),
                                          (256, 2, np.uint8), (257, 2, np.uint16)])
 def test_canonical_points_smallest_dtype(q, n, dtype):
-    """Point codes use the smallest unsigned dtype holding q-1, which keeps
-    the largest instances the guard admits, such as (16,6), near 125 MB."""
-    pts = pg_points(field_for_order(q), n)
+    """Point codes use the smallest unsigned dtype holding q-1, so the
+    blocks and the survivors of the screen take one byte per coordinate
+    for q <= 256."""
+    for _, tail in point_blocks(q, n):
+        assert all(x.dtype == dtype and x.flags.c_contiguous for x in tail)
+    pts = np.concatenate(_block_rows(q, n))
     assert pts.dtype == dtype
     assert pts.shape == ((q ** (n + 1) - 1) // (q - 1), n + 1)
     assert int(pts.max()) == q - 1
@@ -276,31 +287,23 @@ def test_canonical_points_smallest_dtype(q, n, dtype):
     assert rows[0] == [0] * n + [1] and rows == sorted(rows)
 
 
-def old_pg_points(ctx, n_dim):
-    """The block-wise int64 construction `pg_points` replaced: its reference."""
-    q = ctx.q
-    blocks = []
-    for lead in range(n_dim, -1, -1):
-        free = n_dim - lead
-        idx = np.arange(q ** free)
-        block = np.zeros((idx.size, n_dim + 1), dtype=np.min_scalar_type(q - 1))
-        block[:, lead] = 1
-        for j in range(free):
-            block[:, lead + 1 + j] = (idx // q ** (free - 1 - j)) % q
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
-
-
-def test_pg_points_match_old_construction():
+def test_pg_points_match_old_construction(monkeypatch):
+    """The blocks of `point_blocks`, joined in order, are the points of
+    `oracles.pg_points`, at the default block size and at sizes that cut
+    every instance into many blocks (one point each when the size is below
+    q).  Each block holds at most SCREEN_BLOCK points."""
     cases = [(q, n) for q in range(2, 17) if factor_prime_power(q)
              for n in range(2, 30) if q ** n <= 2e6]
     assert len(cases) == 77
     for q, n in cases:
-        ctx = field_for_order(q)
-        pts = pg_points(ctx, n)
-        want = old_pg_points(ctx, n)
-        assert pts.dtype == want.dtype and np.array_equal(pts, want), (q, n)
-        assert pts.flags.f_contiguous  # contiguous columns for the screening
+        want = pg_points(field_for_order(q), n)
+        sizes = [nrc.SCREEN_BLOCK, q ** (n // 2) + 1] + ([q - 1] if len(want) < 1000 else [])
+        for block in sizes:
+            monkeypatch.setattr(nrc, "SCREEN_BLOCK", block)
+            blocks = _block_rows(q, n)
+            assert all(len(b) <= block for b in blocks), (q, n, block)
+            pts = np.concatenate(blocks)
+            assert pts.dtype == want.dtype and np.array_equal(pts, want), (q, n, block)
 
 
 def _instances(limit):
@@ -310,19 +313,41 @@ def _instances(limit):
             for n in range(2, q - 1) if q ** n <= limit]
 
 
+@lru_cache(maxsize=None)
+def _oracle(q, n):
+    return completeness_by_hyperplane(nrc_points(field_for_order(q), n))
+
+
 def _check_against_hyperplane_oracle(cases):
     for q, n in cases:
-        arc = nrc_points(field_for_order(q), n)
-        assert completeness_brute(arc) == completeness_by_hyperplane(arc), (q, n)
+        assert completeness_brute(nrc_points(field_for_order(q), n)) == _oracle(q, n), (q, n)
 
 
 def test_completeness_matches_hyperplane_oracle():
     """The prefix walk returns the same points, in the same order, as
     screening the C(q+1, N) hyperplanes one at a time.  q = 256 and 257
-    take the uint8 and uint16 point dtypes with uint16 and uint32 keys."""
+    take the uint8 and uint16 point dtypes with uint16 and uint32 keys, and
+    span more than one block of the screen."""
     cases = _instances(5 * 10 ** 5)
     assert len(cases) == 47
     _check_against_hyperplane_oracle(cases + [(256, 2), (257, 2)])
+
+
+def test_completeness_across_blocks_matches_hyperplane_oracle(monkeypatch):
+    """With SCREEN_BLOCK below the point count, every instance meets its
+    first SCREEN_HEAD prefixes block by block: blocks of q^(N-2) points and
+    the default head, blocks of one point with every prefix in the head,
+    and blocks of q points with a head of one prefix."""
+    for q, n in _instances(5 * 10 ** 5):
+        configs = [(q ** max(1, n - 2) + 1, nrc.SCREEN_HEAD)]
+        if q ** n <= 5000:
+            configs += [(1, 10 ** 9), (q, 1)]
+        for block, head in configs:
+            monkeypatch.setattr(nrc, "SCREEN_BLOCK", block)
+            monkeypatch.setattr(nrc, "SCREEN_HEAD", head)
+            assert (q ** (n + 1) - 1) // (q - 1) > block
+            got = completeness_brute(nrc_points(field_for_order(q), n))
+            assert got == _oracle(q, n), (q, n, block)
 
 
 @pytest.mark.slow
@@ -387,8 +412,8 @@ def test_nrc_complete_in_exact_t_range():
 
 @pytest.mark.slow
 def test_nrc_complete_in_exact_t_range_slow():
-    cases = _application_instances(2 * 10 ** 7)
-    assert len(cases) == 38
+    cases = _application_instances(10 ** 8)
+    assert len(cases) == 44
     for q, n in cases:
         assert completeness_brute(nrc_points(field_for_order(q), n)) == [], (q, n)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -356,7 +357,7 @@ def test_randomized_greedy_starts_no_more_workers_than_restarts(monkeypatch):
             done.set_result(fn(*args))
             return done
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     model = build_conic_model(11)
     one = randomized_greedy(model, seed=1, restarts=2, jobs=1)
     many = randomized_greedy(model, seed=1, restarts=2, jobs=64)
