@@ -10,11 +10,13 @@ candidate c is additive over S:
             = #{uncovered P : sigma_P(c) in S}.
 
 `CoverageState` is the one incremental-coverage implementation.  It keeps
-these gain counts and works from the smaller side of M_q.  While at most
-half the points are covered, the points t newly covers are its bisecants
-to S not yet covered (`ConicModel.bisecants`, closed form), and the gains
-follow from counts over the covered points and those bisecants alone.
-After that it keeps the uncovered points and scans them.  Either way
+these gain counts and works from the smaller side of M_q, less a slack for
+the closed form's fixed cost.  While the uncovered points outnumber the
+covered ones by at least `SLACK`, the points t newly covers are its
+bisecants to S not yet covered (`ConicModel.bisecants`, closed form), and
+the gains follow from counts over the covered points and those bisecants
+alone.  After that it keeps the uncovered points and scans them; when
+|M_q| < `SLACK` (q <= 43) it scans from the first add.  Either way
 adding t subtracts the contributions of the old S to the points t newly
 covers and adds the contributions of t to the points still uncovered, with
 `bincount`s over sigma_P values from `ConicModel.sigma`, in closed form.
@@ -52,10 +54,15 @@ smaller plus one larger point.  The cross ratio factors as
 (x, z), and each y multiplies it by a per-base scalar.  Image and base
 are compared as bitmasks over the q+1 codes, one uint64 each: the sorted
 image is the smaller exactly when the lowest code in one set but not the
-other is in the image, the lowest set bit of image XOR base.  So one
-gather and one OR-reduce test every y of a pair (x, z) at once, with no
-sort.  The candidates of a level go through in fixed-size blocks, so the
-image array of one block, not the level, sets the memory.
+other is in the image, the lowest set bit of image XOR base.  x, y and z
+always map to 0, 1 and inf, so only the images of the s-2 points other
+than x and z are gathered, and the mask of 0, 1 and inf is ORed in.  So
+one gather and one OR-reduce test every y of a group of pairs (x, z) at
+once, with no sort.  The candidates of a level go through in fixed-size
+blocks, and each step takes as many pairs as a fixed budget of image
+entries allows: a full block one pair at a time, its last few rows every
+remaining pair at once.  So the image array of one step, not the level,
+sets the memory.
 
 AC-ness is invariant under PGL(2,q), so the exhaustive search needs only
 canonical bases, one per orbit (cf. B. D. McKay, "Isomorph-free exhaustive
@@ -89,14 +96,22 @@ class SearchResult:
         return f"{self.q};{self.size};{names}"
 
 
+# Points by which the covered regime of `CoverageState` must be the smaller
+# side before it is kept: its extra fixed cost per add, about 30 numpy calls,
+# against the scan of the uncovered points.  Measured per greedy pass on a
+# 2-vCPU VM, 2048 against 0: q = 16 0.20 against 0.30 ms, q = 31 0.40
+# against 0.48 ms, q = 121..128 within noise; 1024 and 4096 were no better.
+SLACK = 2048
+
+
 class CoverageState:
     """Single-owner mutable coverage of M_q by the chosen conic parameters.
 
-    While at most half of M_q is covered, it holds the covered points (a flag
-    per M-index and the list of their keys) and reads only them and the
-    bisecants of the new point; once more are covered, it holds the keys of
-    the uncovered points, `uncov`, instead and scans them.  `uncov` is None
-    until that one-way switch."""
+    While the uncovered points of M_q outnumber the covered ones by at least
+    `SLACK`, it holds the covered points (a flag per M-index and the list of
+    their keys) and reads only them and the bisecants of the new point; once
+    fewer are left, it holds the keys of the uncovered points, `uncov`,
+    instead and scans them.  `uncov` is None until that one-way switch."""
 
     def __init__(self, model: ConicModel):
         self.model = model
@@ -130,7 +145,7 @@ class CoverageState:
         """Append parameter t; return the number of newly covered points."""
         if not 0 <= t <= self.model.q or self.in_s[t]:
             raise ValueError(f"parameter {t} already chosen or not on the conic")
-        if self.uncov is None and 2 * self._ncov > self.model.m_size:
+        if self.uncov is None and 2 * self._ncov > self.model.m_size - SLACK:
             self.uncov = self.model.key[~self.covered]
             self.covered = self._cov = None
         count = self._add_from_covered(t) if self.uncov is None else self._add_from_uncovered(t)
@@ -306,25 +321,39 @@ def _cross_ratio_factors(ctx: FieldCtx):
 
 
 CANONICAL_BLOCK = 1 << 11  # candidate rows per canonicity test block
+# Image entries, rows x pairs x (s-2)^2, per numpy step of the canonicity
+# test: a full block goes one pair (x, z) at a time, its last few rows take
+# every remaining pair at once.  On a 2-vCPU VM, 2^13..2^17 built the bases
+# of sizes 3..12 at q = 37 in about the same time.  2^15 was about 5% faster
+# than 2^14 at q = 25, but it raised the peak RSS of `ac exact 16..25` by
+# 0.1 MB over one pair per step, and 2^14 did not.
+CANONICAL_STEP = 1 << 14
 
 
 def _drop_non_canonical(rows, ratio, bit, image_bits):
     """The rows of one block of candidates, in order, that no map sending an
     ordered triple (x, y, z) of them to (0, 1, inf) makes lexicographically
     smaller.  bit[c] is the mask of code c and image_bits[a, b] that of
-    times[a, b]; for each ordered pair (x, z) one gather gives the image
-    bits of every t under every y at once, (rows, s-2, s)."""
+    times[a, b].  x, z and y always map to 0, inf and 1, so one gather over
+    the s-2 other points of each row gives the image bits of every t under
+    every y of a group of ordered pairs (x, z), (rows, pairs, s-2, s-2)."""
     s = rows.shape[1]
+    pairs = list(permutations(range(s), 2))
+    at_x, at_z = np.array(pairs).T
+    rest = np.array([[t for t in range(s) if t != x and t != z] for x, z in pairs])
+    known = bit[0] | bit[1] | bit[-1]
     own = np.bitwise_or.reduce(bit[rows], axis=1)
-    for x, z in permutations(range(s), 2):
-        ys = [y for y in range(s) if y != x and y != z]
-        at_x, at_z = rows[:, [x]], rows[:, [z]]
-        f = ratio(rows, at_x, at_z)
-        scale = ratio(rows[:, ys], at_z, at_x)
-        image = np.bitwise_or.reduce(image_bits[f[:, None, :], scale[:, :, None]], axis=2)
-        diff = image ^ own[:, None]
-        keep = ~(diff & -diff & image).any(axis=1)  # lowest differing code is the image's
+    start, entries = 0, (s - 2) ** 2
+    while start < len(pairs) and len(rows):
+        group = slice(start, start + max(1, CANONICAL_STEP // (len(rows) * entries)))
+        x, z, ts = rows[:, at_x[group], None], rows[:, at_z[group], None], rows[:, rest[group]]
+        f = ratio(ts, x, z)  # [t,x] / [t,z] per t
+        scale = ratio(ts, z, x)  # [y,z] / [y,x] per y
+        image = np.bitwise_or.reduce(image_bits[f[:, :, None, :], scale[..., None]], axis=3)
+        diff = (image | known) ^ own[:, None, None]
+        keep = ~(diff & -diff & image).any(axis=(1, 2))  # lowest differing code is the image's
         rows, own = rows[keep], own[keep]
+        start = group.stop
     return rows
 
 

@@ -72,6 +72,19 @@ def test_exact_stdout_pinned_above_27(capsys, q):
     assert out == EXACT_STDOUT_SLOW[q] + "\n"
 
 
+# Past the paper's table: t(37), computed by this repository.
+EXACT_STDOUT_FORCED = "q=37 t=16 witness=26,33,19,23,13,7,2,inf,20,35,31,12,32,22,25,30"
+
+
+@pytest.mark.slow
+def test_exact_stdout_pinned_at_37(capsys):
+    """Budget, measured on a 2-vCPU VM: 49-52 s in a fresh process, at 50 MB
+    peak RSS (57 s in one pytest run)."""
+    code, out, err = run(capsys, "exact", "37", "--force")
+    assert code == cli.EXIT_OK and err == ""
+    assert out == EXACT_STDOUT_FORCED + "\n"
+
+
 def test_exact_ceiling_checked_before_model_build(capsys, monkeypatch):
     def no_build(q):
         raise AssertionError("model built for a refused q")

@@ -77,10 +77,12 @@ def test_coverage_matches_determinant_oracle(q):
 
 
 @pytest.mark.parametrize("q", (8, 9, 11, 13, 16, 25))
-def test_coverage_state_matches_a_recount_after_every_add(q):
+def test_coverage_state_matches_a_recount_after_every_add(monkeypatch, q):
     """Walk whole parameter orders, inf at varying positions, and recount
     coverage and gains from the pair masks after every `add`: while the
-    state holds the covered points, and after it switches to `uncov`."""
+    state holds the covered points, and after it switches to `uncov`.
+    With no slack the switch comes at half of M_q, so both regimes run."""
+    monkeypatch.setattr(search, "SLACK", 0)
     model = build_conic_model(q)
     pair = {(t, s): model.pair_mask(t, s) for t in model.params for s in model.params if s != t}
     rng = random.Random(400 + q)
@@ -106,6 +108,25 @@ def test_coverage_state_matches_a_recount_after_every_add(q):
                 want[c] = (line & ~mask).bit_count()
             assert gains(st) == want, (order, k)
         assert regimes == {True, False}
+
+
+def test_coverage_slack_moves_only_the_switch(monkeypatch):
+    """The slack changes when `CoverageState` switches to `uncov`, not the
+    greedy witnesses and step logs: for every prime power 7 <= q <= 64 they
+    equal those of the switch at half of M_q.  By default, q = 16 scans the
+    uncovered points from the first add and q = 127 starts from the covered
+    ones."""
+    models = [build_conic_model(q) for q in range(7, 65) if factor_prime_power(q)]
+    default = [[randomized_greedy(m, seed=seed, restarts=3) for seed in (0, 1)] for m in models]
+    small, large = CoverageState(build_conic_model(16)), CoverageState(build_conic_model(127))
+    small.add(0)
+    large.add(0)
+    assert small.uncov is not None and large.uncov is None
+    monkeypatch.setattr(search, "SLACK", 0)
+    for model, results in zip(models, default):
+        for seed, res in zip((0, 1), results):
+            half = randomized_greedy(model, seed=seed, restarts=3)
+            assert (res.witness, res.step_log) == (half.witness, half.step_log), (model.q, seed)
 
 
 def test_coverage_add_examples():
@@ -626,15 +647,28 @@ def test_canonical_bases_match_scalar_moebius_oracle(q):
     assert canonical_level(model, 6) == oracle_canonical_bases(model, 6)
 
 
+# Canonicity test groupings: the defaults, one pair (x, z) per step, every
+# pair of a block in one step, and blocks of 7 candidate rows.
+GROUPINGS = ({}, {"CANONICAL_STEP": 1}, {"CANONICAL_STEP": 1 << 40}, {"CANONICAL_BLOCK": 7})
+
+
+def assert_levels_match_the_filter_in_every_grouping(monkeypatch, q, top):
+    for grouping in GROUPINGS:
+        with monkeypatch.context() as patch:
+            for name, value in grouping.items():
+                patch.setattr(search, name, value)
+            assert_levels_match_the_filter(q, top)
+
+
 @pytest.mark.parametrize("q", (8, 9, 11, 13))
-def test_canonical_levels_match_the_filter_in_combinations_order(q):
+def test_canonical_levels_match_the_filter_in_combinations_order(monkeypatch, q):
     # sizes 3..min(q-3, 10), as in the scalar-oracle test below
-    assert_levels_match_the_filter(q, min(q - 3, 10))
+    assert_levels_match_the_filter_in_every_grouping(monkeypatch, q, min(q - 3, 10))
 
 
-def test_canonical_levels_match_the_filter_at_the_exact_limit():
+def test_canonical_levels_match_the_filter_at_the_exact_limit(monkeypatch):
     # q = 61 puts inf on bit 61 of the uint64 code masks
-    assert_levels_match_the_filter(cli.EXACT_MAX_Q, 6)
+    assert_levels_match_the_filter_in_every_grouping(monkeypatch, cli.EXACT_MAX_Q, 6)
 
 
 @pytest.mark.slow
