@@ -64,8 +64,10 @@ def _open_out(path, default=None):
 
 def cmd_search(args) -> int:
     check_greedy_args(args.restarts, args.prob, args.jobs)
+    # the model first, so a refused q leaves an existing record untouched; a
+    # bad record path then costs at most one model build
+    model = build_conic_model(args.q)
     with _open_out(args.record) as record_fh:
-        model = build_conic_model(args.q)
         start = time.time()
         res = randomized_greedy(model, seed=args.seed, restarts=args.restarts,
                                 random_step_prob=args.prob, jobs=args.jobs)

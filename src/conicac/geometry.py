@@ -5,11 +5,11 @@ infinity is encoded as the code q (one past the field range) so arrays of
 size q+1 stay dense.  Plane points are canonical triples (0,0,1), (0,1,z)
 and (1,y,z).  The off-conic point set M_q is the points with
 x1^2 != x0*x2 except the nucleus (0,1,0) of even q, q^2 - [q even] in
-all.  The model keeps no coordinates for them: `ConicModel.m_index`
-indexes them in closed form, (0,1,z) as z - [q even] and (1,y,z) as
-q - [q even] + y*(q-1) + log(y^2 - z), so each row y lists its q-1
-points by the field log of y^2 - z, nonzero off the conic.  The order
-keeps bitset layouts reproducible.
+all.  The model keeps no coordinates for them: their M-index is a closed
+form, (0,1,z) at z - [q even] and (1,y,z) at q - [q even] + y*(q-1) +
+log(y^2 - z), so each row y lists its q-1 points by the field log of
+y^2 - z, nonzero off the conic.  The order keeps bitset layouts
+reproducible.
 
 The bisecant of {t1, t2} is the line [t1*t2, -(t1+t2), 1], and the
 bisecant of {t, inf} is x1 = t*x0; `ConicModel.bisecants` lists their
@@ -47,10 +47,10 @@ and t = inf on the rows q + z) into the band [3n, 4n) that holds inf.
 A fixed point needs no sentinel: sigma_P(t) = t there, and the search only
 counts sigma values that are chosen parameters, which t is once added.
 
-`m_index` and `bisecants` read the same tables, and the model keeps no
-q x q field table: log(y^2 - z) is LSUB[y^2, z], and LSUB[t, y] + LSUB[s, y]
-mod n on the bisecant {t, s}, where y^2 - z = (t - y)(s - y); its point
-(0,1,t+s) reads t + s = ADDEXP[t*W + log s], with log 0 = 2n in the base band.
+`bisecants` reads the same tables, and the model keeps no q x q field
+table: log(y^2 - z) is LSUB[y^2, z], and LSUB[t, y] + LSUB[s, y] mod n on
+the bisecant {t, s}, where y^2 - z = (t - y)(s - y); its point (0,1,t+s)
+reads t + s = ADDEXP[t*W + log s], with log 0 = 2n in the base band.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldCtx, FieldError, check_field_size, field_for_order, log_tables
+from .gf import FieldCtx, check_field_size, field_for_order, log_tables
 
 
 def canon_point(ctx: FieldCtx, triple) -> tuple[int, int, int]:
@@ -109,7 +109,6 @@ class ConicModel:
         n = q - 1
         exp, log, zech = log_tables(ctx)
         self._log = log  # log 0 = 2n, so t + 0 in `bisecants` reads the base band of ADDEXP
-        self._square = exp.take(2 * log)  # exp reads 0 at 2 log 0 = 4n
         self._run = np.arange(n, dtype=np.int32)
         # M-index of the first M-point (1, y, z) of each row y; int32 holds every
         # M-index while q^2 < 2^31
@@ -165,27 +164,12 @@ class ConicModel:
     def param_name(self, t) -> str:
         return "inf" if t == self.inf else str(t)
 
-    def parse_param(self, s: str) -> int:
-        if s == "inf":
-            return self.inf
-        t = int(s)
-        if not 0 <= t < self.q:
-            raise ValueError(f"parameter {s} out of range for q={self.q}")
-        return t
-
     def sigma(self, t, key) -> np.ndarray:
         """sigma_P(t) for the M-points P of the key array `key`, t where t is a
         fixed point of sigma_P.  t is a parameter code, or a 1-D array of
         codes that gives one row per code."""
         lsub = self._lsub.take(t, axis=0).take(key >> self._shift, axis=-1)
         return self._addexp.take(key - lsub)
-
-    def m_index(self, x0, x1, x2) -> np.ndarray:
-        """M-index of the canonical M-points with coordinate arrays x0, x1, x2,
-        in closed form: (0,1,z) is z - [q even] and (1,y,z) is
-        q - [q even] + y*(q-1) + log(y^2 - z)."""
-        affine = self._row_start.take(x1) + self._lsub[self._square.take(x1), x2]
-        return np.where(x0 == 1, affine, x2 - self._even)
 
     def bisecants(self, t: int, s) -> np.ndarray:
         """M-indices of the bisecants {t, s} for the parameters s != t of the
@@ -226,10 +210,7 @@ MODEL_MAX_Q = 4096
 def check_model_size(q: int) -> None:
     """ValueError for a q past the field tables, as every command refuses
     it, or past `MODEL_MAX_Q`; no field is built."""
-    try:
-        check_field_size(q)
-    except FieldError as e:
-        raise ValueError(str(e)) from e
+    check_field_size(q)
     if q > MODEL_MAX_Q:
         raise ValueError(f"q={q} exceeds the conic model limit {MODEL_MAX_Q}")
 
@@ -240,8 +221,4 @@ def check_model_size(q: int) -> None:
 @lru_cache(maxsize=1)
 def build_conic_model(q: int) -> ConicModel:
     check_model_size(q)
-    try:
-        ctx = field_for_order(q)
-    except FieldError as e:
-        raise ValueError(str(e)) from e
-    return ConicModel(ctx)
+    return ConicModel(field_for_order(q))

@@ -1,6 +1,5 @@
-"""Normal rational curves in PG(N,q), generalized doubly-extended
-Reed-Solomon generator matrices, brute-force completeness checks, and the
-odd-prime thresholds p0(h) for completeness in PG(N, p^(2h+1)).
+"""Normal rational curves in PG(N,q), brute-force completeness checks, and
+the odd-prime thresholds p0(h) for completeness in PG(N, p^(2h+1)).
 
 The curve point with parameter t is (1, t, ..., t^N); the parameter q
 stands for inf, the point (0, ..., 0, 1).  The hyperplane through the
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, islice, product
 
 import numpy as np
@@ -138,34 +136,10 @@ class NrcArc:
     def __post_init__(self):
         _check_dimension(self.field.q, self.n_dim)
 
-    @cached_property
-    def points(self) -> list[tuple[int, ...]]:
-        """The q+1 canonical points: (1, t, ..., t^N) for t = 0..q-1, then
-        (0, ..., 0, 1) for inf."""
-        ctx, n_dim = self.field, self.n_dim
-        pts = [tuple(ctx.pow(t, k) for k in range(n_dim + 1)) for t in range(ctx.q)]
-        pts.append((0,) * n_dim + (1,))
-        return pts
-
 
 def nrc_points(ctx: FieldCtx, n_dim: int) -> NrcArc:
     """The normal rational curve in PG(N,q); ValueError unless 2 <= N <= q-2."""
     return NrcArc(n_dim=n_dim, field=ctx)
-
-
-def gdrs_generator(ctx: FieldCtx, n_dim: int, alphas, vs, v_last: int):
-    """(N+1) x (q+1) GDRS generator matrix as a list of column tuples.  The
-    columns are nonzero multiples of distinct NRC points, so every (N+1)-minor
-    is a nonzero multiple of a Vandermonde determinant and the code is MDS."""
-    q = ctx.q
-    if len(set(alphas)) != len(alphas) or len(alphas) != q:
-        raise ValueError("alphas must be q pairwise distinct elements")
-    if any(v == 0 for v in vs) or len(vs) != q or v_last == 0:
-        raise ValueError("scalings must be nonzero")
-    cols = [tuple(ctx.mul(v, ctx.pow(a, k)) for k in range(n_dim + 1))
-            for a, v in zip(alphas, vs)]
-    cols.append((0,) * n_dim + (v_last,))
-    return cols
 
 
 # --- brute-force completeness --------------------------------------------

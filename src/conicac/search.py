@@ -208,16 +208,6 @@ def is_ac_subset(model: ConicModel, subset) -> bool:
     return len(subset) <= model.q and bool(flags.all())
 
 
-def is_minimal_ac(model: ConicModel, subset) -> bool:
-    subset = list(subset)
-    if not is_ac_subset(model, subset):
-        raise ValueError("input is not an AC-subset")
-    for i in range(len(subset)):
-        if is_ac_subset(model, subset[:i] + subset[i + 1:]):
-            return False
-    return True
-
-
 def _greedy_run(model: ConicModel, rng: random.Random, random_step_prob: float):
     """One greedy pass: ties break uniformly at random, and each step is
     fully random with probability random_step_prob."""

@@ -15,6 +15,12 @@ floats: bound C (Phi), Theta and its Q1 test, the truncated product f_q
 with the Theorem 3.2 scan, and the Theorem 3.4 family.  The library
 evaluates B, C and Theta only as arrays, in `conicac.bounds`; the tests
 check those arrays against `scalar_bound` bit for bit.
+
+Five helpers that only the tests call live here rather than in the
+library: `parse_param` (a parameter name back to its code), `m_index`
+(the M-index of coordinate arrays in closed form), `is_minimal_ac`,
+`curve_points` (the points of an NRC) and `gdrs_generator` (a GDRS
+generator matrix).
 """
 
 import math
@@ -26,7 +32,7 @@ from conicac import search
 from conicac.bounds import bound_a_trace, bound_b, sqrt_qlnq
 from conicac.geometry import pack_mask
 from conicac.gf import factor_prime_power, field_tables
-from conicac.search import _covered_flags
+from conicac.search import _covered_flags, is_ac_subset
 
 
 def pg_points(ctx, n_dim):
@@ -60,6 +66,27 @@ def m_coords(model):
         off &= (x0 != 0) | (x2 != 0)
     pts = np.stack([x0, x1, x2])[:, off]
     return pts[:, np.lexsort((pts[2], np.array(model.ctx._log)[disc[off]], pts[1], pts[0]))]
+
+
+def m_index(model, x0, x1, x2):
+    """M-index of the canonical M-points with coordinate arrays x0, x1, x2,
+    in closed form from the model's tables: (0,1,z) is z - [q even] and
+    (1,y,z) is q - [q even] + y*(q-1) + log(y^2 - z), where log(y^2 - z)
+    is LSUB[y^2, z]."""
+    square = np.array([model.ctx.mul(y, y) for y in range(model.q)])
+    affine = model._row_start.take(x1) + model._lsub[square.take(x1), x2]
+    return np.where(x0 == 1, affine, x2 - model._even)
+
+
+def parse_param(model, s: str) -> int:
+    """The parameter code named s by `model.param_name`; ValueError out of
+    range."""
+    if s == "inf":
+        return model.inf
+    t = int(s)
+    if not 0 <= t < model.q:
+        raise ValueError(f"parameter {s} out of range for q={model.q}")
+    return t
 
 
 def bisecant_mpoints(model, t1, t2):
@@ -223,6 +250,42 @@ def reference_min_ac(model):
     for base in filter_canonical_bases(model, base_size):
         extend(list(base), cover(base), [t for t in params if t not in base])
     return best_size, best_witness
+
+
+def is_minimal_ac(model, subset) -> bool:
+    """True iff no AC-subset is left once any one point is dropped;
+    ValueError unless the subset is AC."""
+    subset = list(subset)
+    if not is_ac_subset(model, subset):
+        raise ValueError("input is not an AC-subset")
+    for i in range(len(subset)):
+        if is_ac_subset(model, subset[:i] + subset[i + 1:]):
+            return False
+    return True
+
+
+def curve_points(arc):
+    """The q+1 canonical points of the NRC `arc`: (1, t, ..., t^N) for
+    t = 0..q-1, then (0, ..., 0, 1) for inf."""
+    ctx, n_dim = arc.field, arc.n_dim
+    pts = [tuple(ctx.pow(t, k) for k in range(n_dim + 1)) for t in range(ctx.q)]
+    pts.append((0,) * n_dim + (1,))
+    return pts
+
+
+def gdrs_generator(ctx, n_dim: int, alphas, vs, v_last: int):
+    """(N+1) x (q+1) GDRS generator matrix as a list of column tuples.  The
+    columns are nonzero multiples of distinct NRC points, so every (N+1)-minor
+    is a nonzero multiple of a Vandermonde determinant and the code is MDS."""
+    q = ctx.q
+    if len(set(alphas)) != len(alphas) or len(alphas) != q:
+        raise ValueError("alphas must be q pairwise distinct elements")
+    if any(v == 0 for v in vs) or len(vs) != q or v_last == 0:
+        raise ValueError("scalings must be nonzero")
+    cols = [tuple(ctx.mul(v, ctx.pow(a, k)) for k in range(n_dim + 1))
+            for a, v in zip(alphas, vs)]
+    cols.append((0,) * n_dim + (v_last,))
+    return cols
 
 
 def _det(ctx, rows) -> int:

@@ -13,7 +13,8 @@ from conicac.nrc import completeness_brute, is_prime, nrc_points, p0_solve
 from conicac.search import CoverageState, exhaustive_min_ac, randomized_greedy
 from conicac.tables import (EXACT_T, KNOWN_TBAR_SAMPLE, embedded_table2_rows,
                             verify_rows)
-from oracles import bisecant_mpoints, bound_c_phi, coverage_mask, covered, is_arc, m_coords
+from oracles import (bisecant_mpoints, bound_c_phi, coverage_mask, covered, curve_points,
+                     is_arc, m_coords)
 
 EXACT_FAST_QS = (5, 7, 8, 9, 11, 13)   # the rest of EXACT_T takes seconds to
                                        # minutes (see README), so it is left out
@@ -169,8 +170,8 @@ def _arc_minor_equivalence():
     for q, n in ((5, 2), (5, 3), (7, 2), (7, 3), (8, 2), (9, 2)):
         ctx = field_for_order(q)
         arc = nrc_points(ctx, n)
-        assert is_arc(arc.points, n, ctx)
-        assert not is_arc(arc.points + [arc.points[0]], n, ctx)
+        assert is_arc(curve_points(arc), n, ctx)
+        assert not is_arc(curve_points(arc) + [curve_points(arc)[0]], n, ctx)
 
 
 def test_criterion_8_table_verification():

@@ -11,6 +11,7 @@ import pytest
 from conicac import cli
 from conicac.geometry import MODEL_MAX_Q, build_conic_model
 from conicac.search import is_ac_subset
+from oracles import parse_param
 
 
 def run(capsys, *argv):
@@ -277,7 +278,7 @@ def test_search_1024_in_bounded_memory():
     assert out.returncode == cli.EXIT_OK and out.stderr == ""
     q, size, names = out.stdout.strip().split(";")
     model = build_conic_model(1024)
-    witness = [model.parse_param(name) for name in names.split(",")]
+    witness = [parse_param(model, name) for name in names.split(",")]
     assert (q, int(size)) == ("1024", len(witness))
     assert is_ac_subset(model, witness)
     assert peak_mb < 400, peak_mb
@@ -332,6 +333,17 @@ def test_search_settings_checked_before_model_build(tmp_path, capsys, monkeypatc
     code, out, err = run(capsys, "search", "361", *setting, "--record", str(rec))
     assert code == cli.EXIT_USAGE and out == ""
     assert err.startswith("error: ") and not rec.exists()
+
+
+@pytest.mark.parametrize("q", ["3", "6", "5000"])
+def test_refused_q_leaves_an_existing_record_unchanged(tmp_path, capsys, q):
+    # q < 4, not a prime power, above the model limit
+    rec = tmp_path / "r.json"
+    rec.write_bytes(b'{"command": "search"}\n')
+    code, out, err = run(capsys, "search", q, "--restarts", "1", "--record", str(rec))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: ")
+    assert rec.read_bytes() == b'{"command": "search"}\n'
 
 
 def test_bounds_rejects_unknown_name(capsys):

@@ -11,9 +11,10 @@ from conicac import nrc
 from conicac.gf import factor_prime_power, field_for_order
 from conicac.nrc import (P0_PERSISTENCE, P0_REL_TOL, NrcArc, P0Entry, _c_schedule,
                          _odd_primes, _p0_margin, completeness_brute, corollary11_range,
-                         gdrs_generator, is_prime, nrc_points, p0_solve, point_blocks)
+                         is_prime, nrc_points, p0_solve, point_blocks)
 from conicac.tables import EXACT_T
-from oracles import completeness_by_hyperplane, is_arc, pg_points, theta
+from oracles import (completeness_by_hyperplane, curve_points, gdrs_generator, is_arc,
+                     pg_points, theta)
 
 P0_DEFAULT = {
     1: 757, 2: 1399, 3: 2129, 4: 2887, 5: 3623, 6: 4621, 7: 5417, 8: 6247,
@@ -135,15 +136,15 @@ def test_nrc_dim2_is_the_conic():
         ctx = field_for_order(q)
         arc = nrc_points(ctx, 2)
         conic = {(1, t, ctx.mul(t, t)) for t in range(q)} | {(0, 0, 1)}
-        assert set(arc.points) == conic
+        assert set(curve_points(arc)) == conic
 
 
 def test_nrc_point_count_and_canonical():
     ctx = field_for_order(7)
     arc = nrc_points(ctx, 3)
-    assert len(arc.points) == 8
-    assert len(set(arc.points)) == 8
-    for P in arc.points:
+    assert len(curve_points(arc)) == 8
+    assert len(set(curve_points(arc))) == 8
+    for P in curve_points(arc):
         lead = next(x for x in P if x)
         assert lead == 1  # canonical: leftmost nonzero coordinate is 1
 
@@ -160,12 +161,12 @@ def test_nrc_dimension_limits():
 def test_nrc_is_arc(q, n):
     ctx = field_for_order(q)
     arc = nrc_points(ctx, n)
-    assert is_arc(arc.points, n, ctx)
+    assert is_arc(curve_points(arc), n, ctx)
 
 
 def test_is_arc_rejects_degenerate():
     ctx = field_for_order(5)
-    pts = nrc_points(ctx, 2).points
+    pts = curve_points(nrc_points(ctx, 2))
     assert not is_arc(pts + [pts[0]], 2, ctx)
     three_collinear = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
     assert not is_arc(three_collinear, 2, ctx)
@@ -183,14 +184,14 @@ def test_gdrs_unit_scalings_give_nrc():
     ctx = field_for_order(7)
     cols = gdrs_generator(ctx, 2, list(range(7)), [1] * 7, 1)
     assert is_arc(cols, 2, ctx)
-    assert [canon_point(ctx, c) for c in cols] == nrc_points(ctx, 2).points
+    assert [canon_point(ctx, c) for c in cols] == curve_points(nrc_points(ctx, 2))
 
 
 def test_gdrs_scaled_columns_stay_mds():
     ctx = field_for_order(5)
     cols = gdrs_generator(ctx, 2, [0, 1, 2, 3, 4], [1, 2, 3, 4, 2], 3)
     assert is_arc(cols, 2, ctx)
-    assert {canon_point(ctx, c) for c in cols} == set(nrc_points(ctx, 2).points)
+    assert {canon_point(ctx, c) for c in cols} == set(curve_points(nrc_points(ctx, 2)))
 
 
 def test_gdrs_all_minors_q13():
@@ -201,14 +202,14 @@ def test_gdrs_all_minors_q13():
     cols = gdrs_generator(ctx, 3, list(range(13)), vs, 5)
     assert is_arc(cols, 3, ctx)
     canon = [tuple(ctx.div(x, next(y for y in c if y)) for x in c) for c in cols]
-    assert canon == nrc_points(ctx, 3).points
+    assert canon == curve_points(nrc_points(ctx, 3))
 
 
 def test_nrc_arc_points_follow_from_field_and_dimension():
     ctx = field_for_order(7)
-    assert NrcArc(n_dim=2, field=ctx).points == nrc_points(ctx, 2).points
-    assert nrc_points(ctx, 3).points[:3] == [(1, 0, 0, 0), (1, 1, 1, 1), (1, 2, 4, 1)]
-    assert nrc_points(ctx, 3).points[-1] == (0, 0, 0, 1)
+    assert curve_points(NrcArc(n_dim=2, field=ctx)) == curve_points(nrc_points(ctx, 2))
+    assert curve_points(nrc_points(ctx, 3))[:3] == [(1, 0, 0, 0), (1, 1, 1, 1), (1, 2, 4, 1)]
+    assert curve_points(nrc_points(ctx, 3))[-1] == (0, 0, 0, 1)
     with pytest.raises(ValueError):
         NrcArc(n_dim=6, field=ctx)
 
@@ -251,7 +252,7 @@ def test_completeness_matches_arc_oracle():
         arc = nrc_points(ctx, n)
         ext = completeness_brute(arc)
         want = [P for P in _all_points(q, n)
-                if P not in arc.points and is_arc(arc.points + [P], n, ctx)]
+                if P not in curve_points(arc) and is_arc(curve_points(arc) + [P], n, ctx)]
         assert ext == want, (q, n)
 
 
@@ -261,7 +262,7 @@ def test_completeness_extension_points_pg6_8():
     ext = completeness_brute(arc)
     assert len(ext) == 10
     for P in ext:
-        assert P not in arc.points and is_arc(arc.points + [P], 6, ctx)
+        assert P not in curve_points(arc) and is_arc(curve_points(arc) + [P], 6, ctx)
 
 
 def _block_rows(q, n):

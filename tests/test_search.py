@@ -19,11 +19,10 @@ from conicac.bounds import bound_a_trace, prime_powers_up_to
 from conicac.geometry import ConicModel, build_conic_model
 from conicac.gf import factor_prime_power, field_for_order
 from conicac.search import (CoverageState, _canonical_levels, _cross_ratio_factors,
-                            _pair_masks, exhaustive_min_ac, is_ac_subset, is_minimal_ac,
-                            randomized_greedy)
+                            _pair_masks, exhaustive_min_ac, is_ac_subset, randomized_greedy)
 from conicac.tables import EXACT_T
 from oracles import (closed_form_sigma, coverage_mask, covered, filter_canonical_bases,
-                     gains, m_coords, reference_min_ac)
+                     gains, is_minimal_ac, m_coords, parse_param, reference_min_ac)
 
 ORACLE_QS = (5, 7, 8, 9, 11, 13)
 MODEL_QS = [q for q in range(4, 33) if factor_prime_power(q)]
@@ -574,7 +573,7 @@ def test_witness_line_format():
     line = res.witness_line(model)
     q, size, names = line.split(";")
     assert q == "5" and int(size) == res.size
-    parsed = [model.parse_param(s) for s in names.split(",")]
+    parsed = [parse_param(model, s) for s in names.split(",")]
     assert parsed == res.witness
 
 
