@@ -30,11 +30,15 @@ subset, again in closed form.  The exhaustive search keeps Python-int
 bitsets: the pair mask of every bisecant, built per point from one
 `bisecants` call, and at each DFS node, for every candidate c still to
 come, the OR of the pair masks of c with the subset, so the coverage of a
-child is one OR.  A child gets its own list only when it passes the
+child is one OR.  A child gets its own lists only when it passes the
 pruning checks and its own children can still recurse; the last level,
-which can only complete a cover, is scanned in place.  The counting bound
-is a table of the fewest covered points by best size and subset size,
-compared with the child's popcount.
+which can only complete a cover, is scanned in place, by index into the
+parent's lists.  The counting bound is a table of the fewest covered
+points by best size and subset size, compared with the child's popcount.
+A node reads its bounds from the best size once, and again only after a
+recursive call or a completed leaf, the only places the best size can
+change; a child that is a cover ends the node, as every later child is as
+large.
 
 The exhaustive search seeds its enumeration with one base per PGL(2,q)
 orbit.  PGL(2,q) is sharply 3-transitive, so the map sending an ordered
@@ -437,25 +441,35 @@ def exhaustive_min_ac(model: ConicModel):
 
     def extend(subset, covered, cands, acc):
         """Visit the children subset + [cands[j]], whose coverage is
-        covered | acc[j]; acc[j] ORs the pair masks of cands[j] with subset."""
+        covered | acc[j]; acc[j] ORs the pair masks of cands[j] with subset.
+        Called only while a child can still be a smaller cover.  A child
+        that is a cover ends the visit: every later child is as large.
+        best_size changes only below a recursing child or at a leaf, so the
+        bounds it sets are read once and again only after those."""
         nonlocal best_size, best_witness
-        s = len(subset) + 1  # size of every child
-        for j, t in enumerate(cands):
-            if s >= best_size:
-                return  # no child can be a smaller cover any more
+        s, n = len(subset) + 1, len(cands)  # size of every child
+        need_s, grow, deep = need[best_size][s], s + 1 < best_size, s + 2 < best_size
+        for j in range(n):
             mask = covered | acc[j]
             if mask == full:
-                best_size, best_witness = s, subset + [t]
-            elif s + 1 < best_size and mask.bit_count() >= need[best_size][s]:
-                # zero-gain extensions still recurse: they enable later coverage
-                row, rest = pair[t], cands[j + 1:]
-                if s + 2 < best_size:
-                    extend(subset + [t], mask, rest, [a | row[c] for a, c in zip(acc[j + 1:], rest)])
-                else:  # the grandchildren are leaves: only a full cover counts
-                    for a, c in zip(acc[j + 1:], rest):
-                        if mask | a | row[c] == full:
-                            best_size, best_witness = s + 1, subset + [t, c]
-                            break
+                best_size, best_witness = s, subset + [cands[j]]
+                return
+            if not grow or mask.bit_count() < need_s:
+                continue
+            # zero-gain extensions still recurse: they enable later coverage
+            t = cands[j]
+            row = pair[t]
+            if deep:
+                rest = cands[j + 1:]
+                extend(subset + [t], mask, rest, [a | row[c] for a, c in zip(acc[j + 1:], rest)])
+            else:  # the grandchildren are leaves: only a full cover counts
+                for i in range(j + 1, n):
+                    if mask | acc[i] | row[cands[i]] == full:
+                        best_size, best_witness = s + 1, subset + [t, cands[i]]
+                        break
+                else:
+                    continue
+            need_s, grow, deep = need[best_size][s], s + 1 < best_size, s + 2 < best_size
 
     for subset in next(levels):
         covered = cover(subset)

@@ -64,8 +64,8 @@ EXACT_STDOUT_SLOW = {
 @pytest.mark.slow
 @pytest.mark.parametrize("q", sorted(EXACT_STDOUT_SLOW))
 def test_exact_stdout_pinned_above_27(capsys, q):
-    """Budget, measured on a 2-vCPU VM: about 0.8 s at q=29, 2 s at q=31
-    and 5 s at q=32 in a fresh process (0.4, 1.8 and 6.0 s in one pytest
+    """Budget, measured on a 2-vCPU VM: about 0.4 s at q=29, 1.1 s at q=31
+    and 2.9 s at q=32 in a fresh process (0.3, 1.1 and 3.2 s in one pytest
     run).  Deselected by default; `python -m pytest -q -m slow tests` runs
     it."""
     code, out, err = run(capsys, "exact", str(q))
@@ -79,8 +79,8 @@ EXACT_STDOUT_FORCED = "q=37 t=16 witness=26,33,19,23,13,7,2,inf,20,35,31,12,32,2
 
 @pytest.mark.slow
 def test_exact_stdout_pinned_at_37(capsys):
-    """Budget, measured on a 2-vCPU VM: 49-52 s in a fresh process, at 50 MB
-    peak RSS (57 s in one pytest run)."""
+    """Budget, measured on a 2-vCPU VM: 38 s in a fresh process, at 50 MB
+    peak RSS (42 s in one pytest run)."""
     code, out, err = run(capsys, "exact", "37", "--force")
     assert code == cli.EXIT_OK and err == ""
     assert out == EXACT_STDOUT_FORCED + "\n"

@@ -552,11 +552,15 @@ def test_exhaustive_builds_the_cross_ratio_tables_once(monkeypatch):
     assert calls == [23]
 
 
-@pytest.mark.parametrize("extra", (1, 2))
-@pytest.mark.parametrize("q", (13, 16, 17, 19))
+@pytest.mark.parametrize("extra", (1, 2, 3))
+@pytest.mark.parametrize("q", (13, 16, 17, 19, 23, 25))
 def test_exhaustive_matches_the_reference_dfs_from_a_weaker_seed(monkeypatch, q, extra):
     # an AC seed of size t(q) + extra lowers the base size and makes both
-    # searches prove t(q) from a weaker upper bound
+    # searches prove t(q) from a weaker upper bound.  The DFS branches that
+    # find a smaller cover are reached only this way, as the greedy seed at
+    # every pinned q already has size t(q).  The base size is then
+    # t(q) + extra - 4, so extra = 1, 2 and 3 find t(q) three, two and one
+    # levels below a base
     model = build_conic_model(q)
     _, witness = exhaustive_min_ac(model)
     witness += [t for t in model.params if t not in witness][:extra]
