@@ -190,18 +190,16 @@ def bound_b_values(qs) -> tuple[np.ndarray, np.ndarray]:
             ok[near] = w[near] - (q[near] - 1) * _logs(ratio[near]) <= target[near]
         return ok
 
-    w = np.where(admissible(q, 1, target), 1, 0)
-    # bisect_left over ws = range(2, (q+2)//2 + 1) for every q with w != 1
-    idx = np.flatnonzero(w == 0)
-    size = (q[idx] + 2) // 2 - 1  # len(ws)
+    # w = 1 is never admissible here: lhs(1) = 1 - (q-1) ln(1 + 1/q) > 0 and
+    # target < 0 as xi < q^2.  bisect_left over ws = range(2, (q+2)//2 + 1)
+    size = (q + 2) // 2 - 1  # len(ws)
     lo, hi = np.zeros_like(size), size.copy()
     while (act := np.flatnonzero(lo < hi)).size:
         mid = (lo[act] + hi[act]) // 2
-        ok = admissible(q[idx[act]], mid + 2, target[idx[act]])
+        ok = admissible(q[act], mid + 2, target[act])
         hi[act[ok]] = mid[ok]
         lo[act[~ok]] = mid[~ok] + 1
-    found = lo < size
-    w[idx[found]] = lo[found] + 2
+    w = np.where(lo < size, lo + 2, 0)
     return w, np.where(w > 0, (w + 1) + xi, np.nan)
 
 

@@ -98,8 +98,6 @@ class ConicModel:
         self.tangent = {t: canon_point(ctx, (ctx.mul(t, t), ctx.neg(ctx.mul(two, t)), 1))
                         for t in range(q)}
         self.tangent[q] = (1, 0, 0)
-        # for even q the tangents [t^2, 0, 1] and [1, 0, 0] all pass through (0,1,0)
-        self.nucleus = (0, 1, 0) if q % 2 == 0 else None
 
         self._even = 1 - q % 2
         self.m_size = q * q - self._even

@@ -183,13 +183,6 @@ class FieldCtx:
             raise FieldError("inverse of zero")
         return self._exp[self._log[a] + self._n - self._log[b]]
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise FieldError("inverse of zero")
-            return 0 if e else 1
-        return self._exp[self._log[a] * e % self._n]
-
     def __repr__(self):
         return f"FieldCtx(p={self.p}, m={self.m})"
 

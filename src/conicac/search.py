@@ -30,15 +30,15 @@ subset, again in closed form.  The exhaustive search keeps Python-int
 bitsets: the pair mask of every bisecant, built per point from one
 `bisecants` call, and at each DFS node, for every candidate c still to
 come, the OR of the pair masks of c with the subset, so the coverage of a
-child is one OR.  A child gets its own lists only when it passes the
-pruning checks and its own children can still recurse; the last level,
-which can only complete a cover, is scanned in place, by index into the
-parent's lists.  The counting bound is a table of the fewest covered
-points by best size and subset size, compared with the child's popcount.
-A node reads its bounds from the best size once, and again only after a
-recursive call or a completed leaf, the only places the best size can
-change; a child that is a cover ends the node, as every later child is as
-large.
+child is one OR.  The DFS prunes by size alone: it grows a subset only
+while a larger one can still be smaller than the best cover found.  A
+child gets its own lists only when its own children can still recurse;
+the last level, which can only complete a cover, is scanned in place, by
+index into the parent's lists.  A node compares its child size with the
+best size once, and again only after a recursive call or a completed
+leaf, the only places the best size can change; a child that is a cover
+ends the node, as every later child is as large.  Below the base size,
+the sizes s with C(s,2)*(q-1) < |M_q| are skipped: s points cannot cover.
 
 The exhaustive search seeds its enumeration with one base per PGL(2,q)
 orbit.  PGL(2,q) is sharply 3-transitive, so the map sending an ordered
@@ -433,28 +433,22 @@ def exhaustive_min_ac(model: ConicModel):
     if smaller := smallest_ac(zip(range(3, base_size), levels)):
         return smaller
 
-    # need[b][s]: the fewest covered points from which s points can still
-    # grow into a cover of size b - 1, as r = b - 1 - s more points cover at
-    # most (C(s+r,2) - C(s,2))*(q-1) more
-    need = [[model.m_size - (math.comb(b - 1, 2) - math.comb(s, 2)) * qm1 for s in range(b)]
-            for b in range(best_size + 1)]
-
     def extend(subset, covered, cands, acc):
         """Visit the children subset + [cands[j]], whose coverage is
         covered | acc[j]; acc[j] ORs the pair masks of cands[j] with subset.
         Called only while a child can still be a smaller cover.  A child
         that is a cover ends the visit: every later child is as large.
-        best_size changes only below a recursing child or at a leaf, so the
-        bounds it sets are read once and again only after those."""
+        best_size changes only below a recursing child or at a leaf, so
+        grow and deep are read from it once and again only after those."""
         nonlocal best_size, best_witness
         s, n = len(subset) + 1, len(cands)  # size of every child
-        need_s, grow, deep = need[best_size][s], s + 1 < best_size, s + 2 < best_size
+        grow, deep = s + 1 < best_size, s + 2 < best_size
         for j in range(n):
             mask = covered | acc[j]
             if mask == full:
                 best_size, best_witness = s, subset + [cands[j]]
                 return
-            if not grow or mask.bit_count() < need_s:
+            if not grow:
                 continue
             # zero-gain extensions still recurse: they enable later coverage
             t = cands[j]
@@ -469,14 +463,14 @@ def exhaustive_min_ac(model: ConicModel):
                         break
                 else:
                     continue
-            need_s, grow, deep = need[best_size][s], s + 1 < best_size, s + 2 < best_size
+            grow, deep = s + 1 < best_size, s + 2 < best_size
 
     for subset in next(levels):
         covered = cover(subset)
-        if covered == full:
-            if base_size < best_size:
-                best_size, best_witness = base_size, subset
-        elif base_size + 1 < best_size and covered.bit_count() >= need[best_size][base_size]:
+        if covered == full:  # every cover the DFS found is larger; later bases are not smaller
+            best_size, best_witness = base_size, subset
+            break
+        if base_size + 1 < best_size:
             rest = [t for t in params if t not in subset]
             acc = [0] * len(rest)
             for u in subset:

@@ -16,11 +16,12 @@ with the Theorem 3.2 scan, and the Theorem 3.4 family.  The library
 evaluates B, C and Theta only as arrays, in `conicac.bounds`; the tests
 check those arrays against `scalar_bound` bit for bit.
 
-Five helpers that only the tests call live here rather than in the
-library: `parse_param` (a parameter name back to its code), `m_index`
-(the M-index of coordinate arrays in closed form), `is_minimal_ac`,
-`curve_points` (the points of an NRC) and `gdrs_generator` (a GDRS
-generator matrix).
+Seven helpers that only the tests call live here rather than in the
+library: `field_pow` (a power in F_q from the field's log tables),
+`nucleus` (the common point of the tangents for even q), `parse_param` (a
+parameter name back to its code), `m_index` (the M-index of coordinate
+arrays in closed form), `is_minimal_ac`, `curve_points` (the points of an
+NRC) and `gdrs_generator` (a GDRS generator matrix).
 """
 
 import math
@@ -31,8 +32,23 @@ import numpy as np
 from conicac import search
 from conicac.bounds import bound_a_trace, bound_b, sqrt_qlnq
 from conicac.geometry import pack_mask
-from conicac.gf import factor_prime_power, field_tables
+from conicac.gf import FieldError, factor_prime_power, field_tables
 from conicac.search import _covered_flags, is_ac_subset
+
+
+def field_pow(ctx, a, e):
+    """a^e in F_q for any integer e; FieldError for 0 to a negative power."""
+    if a == 0:
+        if e < 0:
+            raise FieldError("inverse of zero")
+        return 0 if e else 1
+    return ctx._exp[ctx._log[a] * e % ctx._n]
+
+
+def nucleus(model):
+    """(0,1,0) for even q, where the tangents [t^2, 0, 1] and [1, 0, 0] all
+    pass through it; None for odd q."""
+    return (0, 1, 0) if model.q % 2 == 0 else None
 
 
 def pg_points(ctx, n_dim):
@@ -62,7 +78,7 @@ def m_coords(model):
     x0, x1, x2 = pg_points(model.ctx, 2).T.astype(np.int64)
     disc = add[mul[x1, x1], neg[mul[x0, x2]]]
     off = disc != 0
-    if model.nucleus is not None:
+    if nucleus(model) is not None:
         off &= (x0 != 0) | (x2 != 0)
     pts = np.stack([x0, x1, x2])[:, off]
     return pts[:, np.lexsort((pts[2], np.array(model.ctx._log)[disc[off]], pts[1], pts[0]))]
@@ -268,7 +284,7 @@ def curve_points(arc):
     """The q+1 canonical points of the NRC `arc`: (1, t, ..., t^N) for
     t = 0..q-1, then (0, ..., 0, 1) for inf."""
     ctx, n_dim = arc.field, arc.n_dim
-    pts = [tuple(ctx.pow(t, k) for k in range(n_dim + 1)) for t in range(ctx.q)]
+    pts = [tuple(field_pow(ctx, t, k) for k in range(n_dim + 1)) for t in range(ctx.q)]
     pts.append((0,) * n_dim + (1,))
     return pts
 
@@ -282,7 +298,7 @@ def gdrs_generator(ctx, n_dim: int, alphas, vs, v_last: int):
         raise ValueError("alphas must be q pairwise distinct elements")
     if any(v == 0 for v in vs) or len(vs) != q or v_last == 0:
         raise ValueError("scalings must be nonzero")
-    cols = [tuple(ctx.mul(v, ctx.pow(a, k)) for k in range(n_dim + 1))
+    cols = [tuple(ctx.mul(v, field_pow(ctx, a, k)) for k in range(n_dim + 1))
             for a, v in zip(alphas, vs)]
     cols.append((0,) * n_dim + (v_last,))
     return cols
@@ -358,7 +374,7 @@ def classify_point(model, P) -> str:
         return "on-conic"
     if q % 2 == 0:
         return "nucleus" if x0 == x2 == 0 else "m-even"
-    return "external" if ctx.pow(disc, (q - 1) // 2) == 1 else "internal"
+    return "external" if field_pow(ctx, disc, (q - 1) // 2) == 1 else "internal"
 
 
 # --- scalar bound curves --------------------------------------------------

@@ -14,7 +14,7 @@ from conicac.search import CoverageState, exhaustive_min_ac, randomized_greedy
 from conicac.tables import (EXACT_T, KNOWN_TBAR_SAMPLE, embedded_table2_rows,
                             verify_rows)
 from oracles import (bisecant_mpoints, bound_c_phi, coverage_mask, covered, curve_points,
-                     is_arc, m_coords)
+                     is_arc, m_coords, nucleus)
 
 EXACT_FAST_QS = (5, 7, 8, 9, 11, 13)   # the rest of EXACT_T takes seconds to
                                        # minutes (see README), so it is left out
@@ -96,7 +96,7 @@ def test_criterion_5_p0_tables():
 def test_criterion_6_nrc_completeness():
     with criterion(6, "NRC completeness"):
         ext = completeness_brute(nrc_points(field_for_order(4), 2))
-        assert len(ext) == 1 and ext[0] == build_conic_model(4).nucleus
+        assert len(ext) == 1 and ext[0] == nucleus(build_conic_model(4))
         for q, n in ((5, 2), (7, 2), (7, 3)):
             assert completeness_brute(nrc_points(field_for_order(q), n)) == []
         assert len(completeness_brute(nrc_points(field_for_order(8), 6))) > 1

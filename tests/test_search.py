@@ -536,8 +536,8 @@ def test_pair_masks_match_pair_mask(q):
 
 
 def test_exhaustive_builds_the_cross_ratio_tables_once(monkeypatch):
-    # an AC seed of size t(23) + 2 makes the base size 10, and the counting
-    # bound lets sizes 8 and 9 through: one `_canonical_levels` pass serves
+    # an AC seed of size t(23) + 2 makes the base size 10, and the level
+    # skip lets sizes 8 and 9 through: one `_canonical_levels` pass serves
     # all three
     model = build_conic_model(23)
     _, witness = exhaustive_min_ac(model)
@@ -552,7 +552,7 @@ def test_exhaustive_builds_the_cross_ratio_tables_once(monkeypatch):
     assert calls == [23]
 
 
-@pytest.mark.parametrize("extra", (1, 2, 3))
+@pytest.mark.parametrize("extra", (1, 2, 3, 4))
 @pytest.mark.parametrize("q", (13, 16, 17, 19, 23, 25))
 def test_exhaustive_matches_the_reference_dfs_from_a_weaker_seed(monkeypatch, q, extra):
     # an AC seed of size t(q) + extra lowers the base size and makes both
@@ -560,7 +560,7 @@ def test_exhaustive_matches_the_reference_dfs_from_a_weaker_seed(monkeypatch, q,
     # find a smaller cover are reached only this way, as the greedy seed at
     # every pinned q already has size t(q).  The base size is then
     # t(q) + extra - 4, so extra = 1, 2 and 3 find t(q) three, two and one
-    # levels below a base
+    # levels below a base, and extra = 4 finds a base that is a cover
     model = build_conic_model(q)
     _, witness = exhaustive_min_ac(model)
     witness += [t for t in model.params if t not in witness][:extra]
