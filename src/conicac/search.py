@@ -30,15 +30,18 @@ subset, again in closed form.  The exhaustive search keeps Python-int
 bitsets: the pair mask of every bisecant, built per point from one
 `bisecants` call, and at each DFS node, for every candidate c still to
 come, the OR of the pair masks of c with the subset, so the coverage of a
-child is one OR.  The DFS prunes by size alone: it grows a subset only
-while a larger one can still be smaller than the best cover found.  A
-child gets its own lists only when its own children can still recurse;
-the last level, which can only complete a cover, is scanned in place, by
-index into the parent's lists.  A node compares its child size with the
-best size once, and again only after a recursive call or a completed
-leaf, the only places the best size can change; a child that is a cover
-ends the node, as every later child is as large.  Below the base size,
-the sizes s with C(s,2)*(q-1) < |M_q| are skipped: s points cannot cover.
+child is one OR.  A canonical base is extended only by the finite points
+above its largest finite point (the prefix lemma below), so the DFS
+reaches each canonical superset once, from its prefix.  It prunes by size
+alone: it grows a subset only while a larger one can still be smaller
+than the best cover found.  A child gets its own lists only when its own
+children can still recurse; the last level, which can only complete a
+cover, is scanned in place, by index into the parent's lists.  A node
+compares its child size with the best size once, and again only after a
+recursive call or a completed leaf, the only places the best size can
+change; a child that is a cover ends the node, as every later child is as
+large.  Below the base size, the sizes s with C(s,2)*(q-1) < |M_q| are
+skipped: s points cannot cover.
 
 The exhaustive search seeds its enumeration with one base per PGL(2,q)
 orbit.  PGL(2,q) is sharply 3-transitive, so the map sending an ordered
@@ -71,7 +74,18 @@ sets the memory.
 AC-ness is invariant under PGL(2,q), so the exhaustive search needs only
 canonical bases, one per orbit (cf. B. D. McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998): of size k = max(3, g - 4) for a
-greedy seed of size g, and of each size below k.
+greedy seed of size g, and of each size below k.  Above k it needs only
+canonical sets, by the prefix lemma: a canonical set X of size m >= 4
+less its largest finite point p is canonical.  Suppose a map g, sending a
+triple of X' = X - {p} to (0, 1, inf), made sorted(g(X')) smaller than
+sorted(X'), first at position i.  Both end in inf, so i is not last, and
+in sorted(X) p sits just before inf, after position i; g(p) is finite.
+If g(p) lands after position i in sorted(g(X')), sorted(g(X)) and
+sorted(X) still first differ at i; if at or before it, they first differ
+where g(p) lands, and g(p) is the smaller.  Either way X was not
+canonical.  Applied m - k times, the lemma makes the k-prefix of X (its
+k - 1 smallest finite points and inf) a canonical k-base, and X is that
+base plus finite points above its largest finite one.
 """
 
 from __future__ import annotations
@@ -397,8 +411,10 @@ def exhaustive_min_ac(model: ConicModel):
     q <= 7 is enumerated by size.  Above, a randomized-greedy run of size g
     seeds the upper bound and fixes the base size k = max(3, g - 4).
     Every AC-subset of size s < k is equivalent to a canonical s-base, and
-    every larger one to a superset of a canonical k-base, which is extended
-    in all ways while smaller than the current best."""
+    every larger one to a canonical superset of a canonical k-base B, made
+    of B and finite points above its largest finite one (the prefix lemma
+    of the module docstring).  So each base is extended only by those
+    points, while smaller than the current best."""
     q = model.q
     params = model.params
     full = model.full_mask
@@ -436,8 +452,12 @@ def exhaustive_min_ac(model: ConicModel):
     def extend(subset, covered, cands, acc):
         """Visit the children subset + [cands[j]], whose coverage is
         covered | acc[j]; acc[j] ORs the pair masks of cands[j] with subset.
-        Called only while a child can still be a smaller cover.  A child
-        that is a cover ends the visit: every later child is as large.
+        At a base, cands are the finite points above its largest finite
+        one: by the prefix lemma, every canonical superset of size > k is
+        its k-prefix plus such points, so each is visited once, and no orbit
+        of covers is missed.  Called only while a child can still be a
+        smaller cover.  A child that is a cover ends the visit: every later
+        child is as large.
         best_size changes only below a recursing child or at a leaf, so
         grow and deep are read from it once and again only after those."""
         nonlocal best_size, best_witness
@@ -471,7 +491,7 @@ def exhaustive_min_ac(model: ConicModel):
             best_size, best_witness = base_size, subset
             break
         if base_size + 1 < best_size:
-            rest = [t for t in params if t not in subset]
+            rest = list(range(subset[-2] + 1, q))
             acc = [0] * len(rest)
             for u in subset:
                 acc = [a | pair[u][c] for a, c in zip(acc, rest)]

@@ -64,26 +64,31 @@ EXACT_STDOUT_SLOW = {
 @pytest.mark.slow
 @pytest.mark.parametrize("q", sorted(EXACT_STDOUT_SLOW))
 def test_exact_stdout_pinned_above_27(capsys, q):
-    """Budget, measured on a 2-vCPU VM: about 0.4 s at q=29, 1.1 s at q=31
-    and 2.9 s at q=32 in a fresh process (0.3, 1.1 and 3.2 s in one pytest
-    run).  Deselected by default; `python -m pytest -q -m slow tests` runs
-    it."""
+    """Budget, measured on a 2-vCPU VM: 0.23-0.28 s at q=29, 0.47-0.52 s
+    at q=31 and 0.99-1.04 s at q=32 in a fresh process (0.08, 0.31 and
+    0.78 s in one pytest run).  Deselected by default; `python -m pytest
+    -q -m slow tests` runs it."""
     code, out, err = run(capsys, "exact", str(q))
     assert code == cli.EXIT_OK and err == ""
     assert out == EXACT_STDOUT_SLOW[q] + "\n"
 
 
-# Past the paper's table: t(37), computed by this repository.
-EXACT_STDOUT_FORCED = "q=37 t=16 witness=26,33,19,23,13,7,2,inf,20,35,31,12,32,22,25,30"
+# Past the paper's table: t(37) and t(43), computed by this repository.
+EXACT_STDOUT_FORCED = {
+    37: "q=37 t=16 witness=26,33,19,23,13,7,2,inf,20,35,31,12,32,22,25,30",
+    43: "q=43 t=16 witness=26,33,19,23,13,11,0,30,35,2,21,3,37,28,inf,10",
+}
 
 
 @pytest.mark.slow
-def test_exact_stdout_pinned_at_37(capsys):
-    """Budget, measured on a 2-vCPU VM: 38 s in a fresh process, at 50 MB
-    peak RSS (42 s in one pytest run)."""
-    code, out, err = run(capsys, "exact", "37", "--force")
+@pytest.mark.parametrize("q", sorted(EXACT_STDOUT_FORCED))
+def test_exact_stdout_pinned_past_32(capsys, q):
+    """Budget, measured on a 2-vCPU VM: 18 s at q=37 and 59 s at q=43 in a
+    fresh process, at 50 and 108 MB peak RSS (12 and 54 s in one pytest
+    run)."""
+    code, out, err = run(capsys, "exact", str(q), "--force")
     assert code == cli.EXIT_OK and err == ""
-    assert out == EXACT_STDOUT_FORCED + "\n"
+    assert out == EXACT_STDOUT_FORCED[q] + "\n"
 
 
 def test_exact_ceiling_checked_before_model_build(capsys, monkeypatch):

@@ -561,14 +561,83 @@ def test_exhaustive_matches_the_reference_dfs_from_a_weaker_seed(monkeypatch, q,
     # every pinned q already has size t(q).  The base size is then
     # t(q) + extra - 4, so extra = 1, 2 and 3 find t(q) three, two and one
     # levels below a base, and extra = 4 finds a base that is a cover
+    assert_matches_the_reference_dfs_from_a_weaker_seed(monkeypatch, q, extra)
+
+
+def assert_matches_the_reference_dfs_from_a_weaker_seed(monkeypatch, q, extra):
+    """Seed both searches with the witness of t(q) and `extra` more points;
+    the reference extends each base by every other point, the search only
+    by the points above its largest finite one.  The search visits a
+    subsequence of the reference's sets, in the same order, so the two
+    agree when the first cover the reference finds is one of them."""
     model = build_conic_model(q)
-    _, witness = exhaustive_min_ac(model)
-    witness += [t for t in model.params if t not in witness][:extra]
-    seed = search.SearchResult(q=q, size=len(witness), witness=witness, is_ac=True)
-    monkeypatch.setattr(search, "randomized_greedy", lambda *args, **kwargs: seed)
+    seed_with_extra_points(monkeypatch, model, extra)
     size, found = exhaustive_min_ac(model)
     assert (size, found) == reference_min_ac(model)
     assert size == EXACT_T[q] and is_minimal_ac(model, found)
+
+
+def seed_with_extra_points(monkeypatch, model, extra):
+    """Patch the greedy seed of `exhaustive_min_ac` to its own witness plus
+    the first `extra` other points; return the seed size."""
+    _, witness = exhaustive_min_ac(model)
+    witness += [t for t in model.params if t not in witness][:extra]
+    seed = search.SearchResult(q=model.q, size=len(witness), witness=witness, is_ac=True)
+    monkeypatch.setattr(search, "randomized_greedy", lambda *args, **kwargs: seed)
+    return seed.size
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("extra", (1, 2))
+@pytest.mark.parametrize("q", (27, 29))
+def test_exhaustive_matches_the_reference_dfs_from_a_weaker_seed_slow(monkeypatch, q, extra):
+    """The tier-1 test above at the two pinned q past 25.  Budget, measured
+    on a 2-vCPU VM in one pytest run: 1.1 s (27-1), 2.5 s (27-2), 2.0 s
+    (29-1) and 5.1 s (29-2), 11 s in all."""
+    assert_matches_the_reference_dfs_from_a_weaker_seed(monkeypatch, q, extra)
+
+
+class _ReadLog(list):
+    """A row of the pair-mask table that logs (row, column) of every read."""
+
+    def __init__(self, t, row, reads):
+        super().__init__(row)
+        self.t, self.reads = t, reads
+
+    def __getitem__(self, c):
+        self.reads.append((self.t, c))
+        return super().__getitem__(c)
+
+
+@pytest.mark.parametrize("q, extra", [(13, 0), (16, 0), (19, 0), (23, 0), (17, 2), (23, 1)])
+def test_exhaustive_extends_each_base_only_above_its_largest_finite_point(monkeypatch, q, extra):
+    # The row of inf is read only where the acc of a base is built: one run
+    # of reads per row of the base, in order, each over the same candidate
+    # columns.  Those must be the finite points above the base's largest
+    # finite point, and nothing at or below it; extra > 0 seeds the search
+    # t(q) + extra points, so that the DFS also finds smaller covers.
+    model = build_conic_model(q)
+    k = max(3, seed_with_extra_points(monkeypatch, model, extra) - 4)
+    reads = []
+    pair_masks = search._pair_masks
+    monkeypatch.setattr(search, "_pair_masks", lambda m: [
+        _ReadLog(t, row, reads) for t, row in enumerate(pair_masks(m))])
+    assert exhaustive_min_ac(model)[0] == EXACT_T[q]
+    runs = []  # maximal runs of reads from one row: (row, columns)
+    for t, c in reads:
+        if runs and runs[-1][0] == t:
+            runs[-1][1].append(c)
+        else:
+            runs.append((t, [c]))
+    level = set(canonical_level(model, k))
+    builds = [i for i, (t, _) in enumerate(runs) if t == q]
+    assert builds
+    for i in builds:
+        base = tuple(t for t, _ in runs[i - k + 1:i + 1])
+        cands = runs[i][1]
+        assert base in level, base
+        assert all(cs == cands for _, cs in runs[i - k + 1:i]), base
+        assert cands == list(range(base[-2] + 1, q)), base
 
 
 def test_witness_line_format():
@@ -698,6 +767,21 @@ def test_canonical_bases_match_scalar_moebius_oracle_at_every_size(q):
     model, top = build_conic_model(q), min(q - 3, 10)
     for k, level in zip(range(3, top + 1), _canonical_levels(model, top)):
         assert list(map(tuple, level.tolist())) == oracle_canonical_bases(model, k), k
+
+
+@pytest.mark.parametrize("q", (8, 9, 11, 13))
+def test_every_prefix_of_a_canonical_set_is_canonical(q):
+    # the prefix lemma `exhaustive_min_ac` extends its bases by: the k-1
+    # smallest finite points of a canonical m-set, with inf, make a
+    # canonical k-set, for every 3 <= k < m, at every size m up to q + 1
+    model = build_conic_model(q)
+    sizes = range(3, q + 2)
+    levels = {k: set(filter_canonical_bases(model, k)) for k in sizes}
+    for m in sizes[1:]:
+        assert levels[m], (q, m)
+        for row in levels[m]:
+            for k in range(3, m):
+                assert row[:k - 1] + (q,) in levels[k], (row, k)
 
 
 # Number of canonical 6-point bases, recorded with the scalar canonicaliser.
