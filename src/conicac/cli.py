@@ -20,7 +20,7 @@ from .gf import factor_prime_powers, field_for_order
 from .geometry import build_conic_model, check_model_size
 from .nrc import (check_completeness_size, completeness_brute, corollary11_range,
                   nrc_points, p0_solve)
-from .search import check_greedy_args, exhaustive_min_ac, randomized_greedy
+from .search import EXACT_MAX_Q, check_greedy_args, exhaustive_min_ac, randomized_greedy
 from .search import is_ac_subset  # noqa: F401  perfbench/tracing.py patches cli.is_ac_subset
 
 EXIT_OK = 0
@@ -31,10 +31,6 @@ FIG_GRIDS = {"fig1": 253009, "fig2": 14000029}
 BOUNDS_CHUNK = 1 << 13  # q per `curve_emit` call and per write of `ac bounds`
 BOUNDS_ROW = "%d,%s,%.12g,%.12g\n"  # q, name, value, value_star
 EXACT_CEILING = 32  # largest q `ac exact` runs without --force
-# Largest q `ac exact --force` runs: the canonicity test holds the q+1
-# parameter codes in one uint64, and the pair table is C(q+1, 2) masks of
-# q^2 bits, about q^4/16 bytes.
-EXACT_MAX_Q = 61
 
 
 class CliError(Exception):

@@ -36,14 +36,15 @@ M-point has one integer key in `ConicModel.key`,
     key = row*W + n + log D,   row = y for (1,y,z) and q + z for (0,1,z),
 
 so the i-th point of row y of M_q has key y*W + n + i, and sigma_P(t) =
-ADDEXP[key - LSUB[t, key >> log2 W]] in the flattened 2q x W table
-ADDEXP.  LSUB[t, row] is log(t - y) on the rows y and log(-1/t) on the
-rows q + z, in [0, n), so that j = n + log D - LSUB lies in [0, 2n) and
-entry j of ADDEXP row y or q + z holds base + alpha^(j - n) =
-base + D/(t - c).  Two sentinels of LSUB move j past 2n: -n where
-D/(t - c) is 0 (t = inf on the rows y, t = 0 on the rows q + z) into the
-band [2n, 3n) that holds the base, and -2n where sigma_P(t) is inf (t = y,
-and t = inf on the rows q + z) into the band [3n, 4n) that holds inf.
+ADDEXP[key - LSUB[t, key >> log2 W]] in the flattened q x W table ADDEXP.
+LSUB[t, y] is log(t - y), and its last column LSUB[t, q] is log(-1/t), in
+[0, n): `take` clips the rows q + z of the keys to that column.  Then
+j = n + log D - LSUB lies in [0, 2n), and entry j of ADDEXP row y holds
+y + alpha^(j - n) = base + D/(t - c): `take` wraps the flat index modulo
+q*W, so the rows q + z read row z.  Two sentinels of LSUB move j past 2n:
+-n where D/(t - c) is 0 (t = inf in the columns y, t = 0 in column q) into
+the band [2n, 3n) that holds the base, and -2n where sigma_P(t) is inf
+(t = y, and t = inf in column q) into the band [3n, 4n) that holds inf.
 A fixed point needs no sentinel: sigma_P(t) = t there, and the search only
 counts sigma values that are chosen parameters, which t is once added.
 
@@ -117,7 +118,7 @@ class ConicModel:
 
         # the q x q blocks come from the Zech logs, a + b = a*(1 + b/a), in
         # place where they can, so the build's peak stays near what it holds
-        self._lsub = np.empty((q + 1, 2 * q), dtype=np.min_scalar_type(-2 * n))
+        self._lsub = np.empty((q + 1, q + 1), dtype=np.min_scalar_type(-2 * n))
         log_neg = (log + log_neg1) % n  # log(-y); wrong at y = 0, overwritten below
         diff = log_neg - log[:, None]
         diff %= n  # log(-y/t)
@@ -130,9 +131,9 @@ class ConicModel:
         self._lsub[:q, 0] = log  # y = 0: log t
         self._lsub[rows, rows] = -2 * n  # t = y: inf
         self._lsub[q, :q] = -n  # t = inf: y
-        self._lsub[:q, q:] = ((log_neg1 - log) % n)[:, None]  # log(-1/t)
-        self._lsub[0, q:] = -n  # t = 0: z
-        self._lsub[q, q:] = -2 * n  # t = inf: inf
+        self._lsub[:q, q] = (log_neg1 - log) % n  # log(-1/t)
+        self._lsub[0, q] = -n  # t = 0: z
+        self._lsub[q, q] = -2 * n  # t = inf: inf
 
         plus = self._run - log[:, None]
         plus %= n  # log(alpha^j / y)
@@ -141,12 +142,11 @@ class ConicModel:
         dtype = np.min_scalar_type(q)
         plus = exp.astype(dtype).take(plus)  # y + alpha^j; exp reads 0 from 2n on
         plus[0] = exp[:n]  # 0 + alpha^j
-        addexp = np.empty((2 * q, 1 << shift), dtype=dtype)
-        addexp[:q, :n] = addexp[:q, n:2 * n] = plus  # alpha^n = 1
+        addexp = np.empty((q, 1 << shift), dtype=dtype)
+        addexp[:, :n] = addexp[:, n:2 * n] = plus  # alpha^n = 1
         del plus
-        addexp[:q, 2 * n:3 * n] = rows[:, None]
-        addexp[:q, 3 * n:] = q
-        addexp[q:] = addexp[:q]
+        addexp[:, 2 * n:3 * n] = rows[:, None]
+        addexp[:, 3 * n:] = q
         self._addexp = addexp.ravel()
 
         self.key = np.empty(self.m_size, dtype=np.intp)
@@ -166,8 +166,8 @@ class ConicModel:
         """sigma_P(t) for the M-points P of the key array `key`, t where t is a
         fixed point of sigma_P.  t is a parameter code, or a 1-D array of
         codes that gives one row per code."""
-        lsub = self._lsub.take(t, axis=0).take(key >> self._shift, axis=-1)
-        return self._addexp.take(key - lsub)
+        lsub = self._lsub.take(t, axis=0).take(key >> self._shift, axis=-1, mode="clip")
+        return self._addexp.take(key - lsub, mode="wrap")
 
     def bisecants(self, t: int, s) -> np.ndarray:
         """M-indices of the bisecants {t, s} for the parameters s != t of the
@@ -199,8 +199,8 @@ class ConicModel:
 
 
 # The largest q whose model `build_conic_model` builds.  `ac search 4096
-# --restarts 1` took 31 s at 713 MB peak RSS on a 2-vCPU VM (4049: 29-32 s,
-# 701 MB).  The keys and ADDEXP grow as q^2: q = 2^15 would ask for several
+# --restarts 1` took 28 s at 552 MB peak RSS on a 2-vCPU VM (4049: 27-28 s,
+# 542 MB).  The keys and ADDEXP grow as q^2: q = 2^15 would ask for several
 # GB per table.
 MODEL_MAX_Q = 4096
 

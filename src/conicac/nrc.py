@@ -56,18 +56,9 @@ def _odd_primes():
 # --- p0(h) thresholds -----------------------------------------------------
 
 def _c_schedule(h: int) -> float:
-    if h == 1:
-        return 1.525
-    if h == 2:
-        return 1.548
-    if h == 3:
-        return 1.572
-    if h in (4, 5):
-        return 1.585
-    if 6 <= h <= 19:
-        return 1.62
-    if 20 <= h <= 28:
-        return 1.635
+    for top, c in ((1, 1.525), (2, 1.548), (3, 1.572), (5, 1.585), (19, 1.62), (28, 1.635)):
+        if h <= top:  # the c of the h in (previous top, top]
+            return c
     return 1.835
 
 
@@ -99,6 +90,9 @@ P0_REL_TOL = 8e-5
 # primes after p0 that must also clear the threshold: the correction terms
 # can be locally non-monotone near the crossing
 P0_PERSISTENCE = 10
+# Largest p0 `p0_solve` walks to.  The walk covered 7-9M integers a second
+# on a 2-vCPU VM (p0(50000) = 99,183,493 in 11 s): about 2 minutes to here.
+P0_MAX = 10 ** 9
 
 
 def p0_solve(h: int, c_override: float | None = None) -> P0Entry:
@@ -107,8 +101,11 @@ def p0_solve(h: int, c_override: float | None = None) -> P0Entry:
     if h < 1:
         raise ValueError("h must be >= 1")
     c = c_override if c_override is not None else _c_schedule(h)
-    if not (math.isfinite(c) and c > 0):  # nan or inf never crosses, c <= 0 at p=3
-        raise ValueError(f"c={c} must be finite and > 0")
+    # c <= 0 would cross at p=3.  For p >= 3 the correction terms add to the
+    # threshold, so a crossing needs sqrt(p)(1 + P0_REL_TOL) > 4c sqrt((2h+1) ln p);
+    # p / ln p increases, so past this bound p0 > P0_MAX (nan and inf never cross)
+    if not (c > 0 and 16 * c * c * (2 * h + 1) < (1 + P0_REL_TOL) ** 2 * P0_MAX / math.log(P0_MAX)):
+        raise ValueError(f"c={c} must be > 0 and put p0(h={h}) below the walk limit {P0_MAX}")
     window: list[int] = []
     for p in _odd_primes():
         if _p0_margin(p, h, c) > -P0_REL_TOL * math.sqrt(p):

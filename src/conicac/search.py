@@ -336,6 +336,10 @@ CANONICAL_BLOCK = 1 << 11  # candidate rows per canonicity test block
 # than 2^14 at q = 25, but it raised the peak RSS of `ac exact 16..25` by
 # 0.1 MB over one pair per step, and 2^14 did not.
 CANONICAL_STEP = 1 << 14
+# Largest q the exact search runs: the canonicity test holds the q+1
+# parameter codes in one uint64, and the pair table is C(q+1, 2) masks of
+# q^2 bits, about q^4/16 bytes.
+EXACT_MAX_Q = 61
 
 
 def _drop_non_canonical(rows, ratio, bit, image_bits):
@@ -371,10 +375,8 @@ def _canonical_levels(model: ConicModel, k: int):
     candidates of level s+1 are each base of level s, in order, followed
     by each point above its largest finite one, ascending, and go through
     `_drop_non_canonical` in blocks of `CANONICAL_BLOCK` rows.  The code
-    masks are uint64, so q <= 63."""
+    masks are uint64, so q <= `EXACT_MAX_Q`."""
     q = model.q
-    if q + 1 > 64:
-        raise ValueError(f"q={q}: the q+1 parameter codes do not fit one uint64 mask")
     ratio, times = _cross_ratio_factors(model.ctx)
     bit = np.uint64(1) << np.arange(q + 1, dtype=np.uint64)
     image_bits = bit[times]
@@ -416,6 +418,8 @@ def exhaustive_min_ac(model: ConicModel):
     of the module docstring).  So each base is extended only by those
     points, while smaller than the current best."""
     q = model.q
+    if q > EXACT_MAX_Q:
+        raise ValueError(f"q={q} above the exact-search limit {EXACT_MAX_Q}")
     params = model.params
     full = model.full_mask
     qm1 = q - 1
@@ -444,9 +448,9 @@ def exhaustive_min_ac(model: ConicModel):
     best_witness = list(start.witness)
     # g - 4 was the fastest base size, or within noise of it, at every q <= 32
     base_size = max(3, best_size - 4)
-    levels = map(np.ndarray.tolist, _canonical_levels(model, base_size))
+    levels = _canonical_levels(model, base_size)
     # zip asks range first, so level base_size stays in levels for the DFS
-    if smaller := smallest_ac(zip(range(3, base_size), levels)):
+    if smaller := smallest_ac(zip(range(3, base_size), map(np.ndarray.tolist, levels))):
         return smaller
 
     def extend(subset, covered, cands, acc):
@@ -485,7 +489,7 @@ def exhaustive_min_ac(model: ConicModel):
                     continue
             grow, deep = s + 1 < best_size, s + 2 < best_size
 
-    for subset in next(levels):
+    for subset in map(np.ndarray.tolist, next(levels)):  # a row's list only while it is visited
         covered = cover(subset)
         if covered == full:  # every cover the DFS found is larger; later bases are not smaller
             best_size, best_witness = base_size, subset

@@ -158,28 +158,27 @@ def closed_form_sigma(model):
 
 
 def lsub_addexp_by_field_tables(model):
-    """The model's LSUB and flattened ADDEXP built from the q x q
-    `field_tables`: log(t - y) as the log of the addition table read at
-    (t, -y), and base + alpha^j as the addition table read at
-    (base, alpha^j).  The reference for the Zech-log build of
+    """The model's (q+1) x (q+1) LSUB and flattened q x W ADDEXP built
+    from the q x q `field_tables`: log(t - y) as the log of the addition
+    table read at (t, -y), and y + alpha^j as the addition table read at
+    (y, alpha^j).  The reference for the Zech-log build of
     `ConicModel.__init__`."""
     q, n = model.q, model.q - 1
     add, _, neg, _ = field_tables(model.ctx)
     log, exp = np.array(model.ctx._log), np.array(model.ctx._exp)
     rows = np.arange(q)
-    lsub = np.empty_like(model._lsub)
+    lsub = np.empty((q + 1, q + 1), dtype=model._lsub.dtype)
     lsub[:q, :q] = log.take(add.take(neg, axis=1))  # log(t - y)
     lsub[rows, rows] = -2 * n
     lsub[q, :q] = -n
-    lsub[:q, q:] = ((log[neg[1]] - log) % n)[:, None]  # log(-1/t)
-    lsub[0, q:] = -n
-    lsub[q, q:] = -2 * n
-    addexp = np.empty((2 * q, len(model._addexp) // (2 * q)), dtype=model._addexp.dtype)
-    addexp[:q, :n] = add.take(exp[:n], axis=1)  # base + alpha^j
-    addexp[:q, n:2 * n] = addexp[:q, :n]
-    addexp[:q, 2 * n:3 * n] = rows[:, None]
-    addexp[:q, 3 * n:] = q
-    addexp[q:] = addexp[:q]
+    lsub[:q, q] = (log[neg[1]] - log) % n  # log(-1/t)
+    lsub[0, q] = -n
+    lsub[q, q] = -2 * n
+    addexp = np.empty((q, 1 << (4 * n - 1).bit_length()), dtype=model._addexp.dtype)
+    addexp[:, :n] = add.take(exp[:n], axis=1)  # y + alpha^j
+    addexp[:, n:2 * n] = addexp[:, :n]
+    addexp[:, 2 * n:3 * n] = rows[:, None]
+    addexp[:, 3 * n:] = q
     return lsub, addexp.ravel()
 
 

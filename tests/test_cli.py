@@ -10,6 +10,7 @@ import pytest
 
 from conicac import cli
 from conicac.geometry import MODEL_MAX_Q, build_conic_model
+from conicac.nrc import P0_MAX
 from conicac.search import is_ac_subset
 from oracles import parse_param
 
@@ -393,6 +394,15 @@ def test_nrc_p0_rejects_non_finite_c_without_hanging(c):
     out = run_subprocess("nrc", "--p0", "1", "--c", c, timeout=60)
     assert out.returncode == cli.EXIT_USAGE and out.stdout == ""
     assert out.stderr.startswith("error: c=")
+
+
+@pytest.mark.parametrize("c", ["1e6", "1e308"])
+def test_nrc_p0_refuses_a_p0_past_the_walk_limit_without_hanging(c):
+    # c = 1e6 crosses far above P0_MAX; at 1e308, 4c overflows to inf and the
+    # margin is -inf at every prime.  Both are refused before the walk.
+    out = run_subprocess("nrc", "--p0", "1", "--c", c, timeout=60)
+    assert out.returncode == cli.EXIT_USAGE and out.stdout == ""
+    assert out.stderr.startswith("error: c=") and f"walk limit {P0_MAX}" in out.stderr
 
 
 def test_verify_embedded(capsys):

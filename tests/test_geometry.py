@@ -244,13 +244,15 @@ def test_model_cache_keeps_only_the_latest():
 # 263 has the widest ADDEXP rows (W = 2048 for 4n = 1048) in uint16
 @pytest.mark.parametrize("q", [128, 256, 263])
 def test_model_arrays_are_quadratic_in_q(q):
-    """The model's arrays take at most 44 q^2 bytes: 8 q^2 for the intp
-    keys, about 4 q^2 for LSUB, less than 2q * 8q * 2 bytes for ADDEXP and
-    four int32 arrays of length q; it holds no q x q field table.  A table
-    of sigma_P(t) for every t and P would take 2(q+1)q^2 bytes in int16."""
+    """The model's arrays take at most 27 q^2 bytes: 8 q^2 for the intp
+    keys, about 2 q^2 for the (q+1) x (q+1) LSUB in int16, less than
+    q * 8q * 2 bytes for the q x W ADDEXP and three int32 arrays of about q
+    entries; it stores no table entry twice and holds no q x q field table.
+    A table of sigma_P(t) for every t and P would take 2(q+1)q^2 bytes in
+    int16."""
     model = ConicModel(field_for_order(q))
     total = sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray))
-    assert total <= 44 * q * q
+    assert total <= 27 * q * q
 
 
 @pytest.mark.parametrize("q", MODEL_QS)

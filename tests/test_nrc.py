@@ -119,6 +119,19 @@ def test_p0_monotone_within_fixed_c():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("c_override, pinned", [(None, P0_DEFAULT), (1.62, P0_C162)])
+def test_p0_walk_limit_sits_below_the_crossing(monkeypatch, c_override, pinned):
+    """The refusal bound never refuses a reachable p0 and is close to the
+    crossing: with the limit at p0 itself every pinned threshold is still
+    found, and with half of it `p0_solve` refuses."""
+    for h, want in pinned.items():
+        monkeypatch.setattr(nrc, "P0_MAX", want)
+        assert p0_solve(h, c_override=c_override).p0 == want
+        monkeypatch.setattr(nrc, "P0_MAX", want // 2)
+        with pytest.raises(ValueError, match="walk limit"):
+            p0_solve(h, c_override=c_override)
+
+
 def test_p0_rejects_bad_h():
     with pytest.raises(ValueError):
         p0_solve(0)

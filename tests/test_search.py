@@ -552,6 +552,18 @@ def test_exhaustive_builds_the_cross_ratio_tables_once(monkeypatch):
     assert calls == [23]
 
 
+def test_exhaustive_refuses_past_the_limit_before_any_greedy_run(monkeypatch):
+    # q = 64 has 65 parameter codes, one too many for a uint64 mask
+    def work(*args, **kwargs):
+        raise AssertionError("work before the limit check")
+
+    monkeypatch.setattr(search, "randomized_greedy", work)
+    monkeypatch.setattr(search, "_pair_masks", work)
+    assert cli.EXACT_MAX_Q == search.EXACT_MAX_Q == 61
+    with pytest.raises(ValueError, match=f"q=64 above the exact-search limit {search.EXACT_MAX_Q}"):
+        exhaustive_min_ac(build_conic_model(64))
+
+
 @pytest.mark.parametrize("extra", (1, 2, 3, 4))
 @pytest.mark.parametrize("q", (13, 16, 17, 19, 23, 25))
 def test_exhaustive_matches_the_reference_dfs_from_a_weaker_seed(monkeypatch, q, extra):
@@ -740,7 +752,7 @@ def test_canonical_levels_match_the_filter_in_combinations_order(monkeypatch, q)
 
 def test_canonical_levels_match_the_filter_at_the_exact_limit(monkeypatch):
     # q = 61 puts inf on bit 61 of the uint64 code masks
-    assert_levels_match_the_filter_in_every_grouping(monkeypatch, cli.EXACT_MAX_Q, 6)
+    assert_levels_match_the_filter_in_every_grouping(monkeypatch, search.EXACT_MAX_Q, 6)
 
 
 @pytest.mark.slow
